@@ -25,7 +25,18 @@ reachable state" — stronger evidence than reachability enumeration,
 because the step is verified on all P-states, including unreachable
 ones (if the step fails only on unreachable states, the invariant is
 simply not inductive and must be strengthened, the classic
-invariant-strengthening situation)."""
+invariant-strengthening situation).
+
+The step runs on packed value rows: each update instance is applied
+through the packed explorer's compiled plans (the same O(delta)
+programs exploration and the serving runtime use) and the invariant
+is memoised per row, so a :class:`Snapshot` is built only to ask the
+invariant about a row it has not seen and to report a counterexample.
+:func:`prove_invariant_by_rewriting` — every successor cell rewritten
+from an :class:`AbstractState` term — is the oracle: the differential
+tests hold the two to identical reports, and :func:`prove_invariant`
+falls back to it outside the packed fragment and while proof coverage
+is recorded (coverage counts the rewrite engine's dispatches)."""
 
 from __future__ import annotations
 
@@ -47,6 +58,7 @@ __all__ = [
     "make_abstract_engine",
     "InductionReport",
     "prove_invariant",
+    "prove_invariant_by_rewriting",
 ]
 
 
@@ -152,6 +164,14 @@ def all_snapshots(spec: AlgebraicSpec) -> Iterator[Snapshot]:
     exponential in the number of observations — intended for the small
     carriers of bounded verification.
     """
+    keys, spaces = _observation_space(spec)
+    for combination in itertools.product(*spaces):
+        yield Snapshot(tuple(sorted(zip(keys, combination))))
+
+
+def _observation_space(spec: AlgebraicSpec):
+    """The observation keys, in signature order, and the value space
+    of each — :func:`all_snapshots` enumerates their product."""
     signature = spec.signature
     keys: list[tuple[str, tuple[str, ...]]] = []
     spaces: list[tuple] = []
@@ -168,8 +188,7 @@ def all_snapshots(spec: AlgebraicSpec) -> Iterator[Snapshot]:
                 spaces.append(
                     tuple(signature.domain(query_symbol.result_sort))
                 )
-    for combination in itertools.product(*spaces):
-        yield Snapshot(tuple(sorted(zip(keys, combination))))
+    return keys, spaces
 
 
 @dataclass(frozen=True)
@@ -236,6 +255,105 @@ def prove_invariant(
     Raises:
         SpecificationError: if the abstract space exceeds the bound.
     """
+    # Imported here: exploration imports the pipeline package, which
+    # imports this module.
+    from repro.algebraic.exploration import (
+        PackedExplorer,
+        PackedUnsupported,
+    )
+    from repro.obs.coverage import COV_STATE
+
+    if not COV_STATE.enabled:
+        try:
+            return _prove_on_rows(
+                PackedExplorer(TraceAlgebra(spec)),
+                invariant,
+                max_abstract_states,
+            )
+        except PackedUnsupported:
+            pass
+    return prove_invariant_by_rewriting(
+        spec, invariant, max_abstract_states
+    )
+
+
+def _prove_on_rows(
+    explorer,
+    invariant: Callable[[Snapshot], bool],
+    max_abstract_states: int,
+) -> InductionReport:
+    """The induction step over value rows, through compiled plans;
+    visits states and instances in the oracle's order, so reports
+    (counterexample order included) are identical.
+
+    Raises:
+        PackedUnsupported: when a plan finds no firing equation — the
+            oracle then reports the specification error itself.
+    """
+    cells = explorer.cells
+    # ``keys`` are the algebra's observations in signature order and
+    # ``cells`` the same observations sorted: ``order`` maps one onto
+    # the other.
+    keys, spaces = _observation_space(explorer.algebra.spec)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+
+    def snapshot(row: tuple) -> Snapshot:
+        return Snapshot(tuple(zip(cells, row)))
+
+    verdicts: dict[tuple, bool] = {}
+
+    def holds(row: tuple) -> bool:
+        verdict = verdicts.get(row)
+        if verdict is None:
+            verdict = verdicts[row] = bool(invariant(snapshot(row)))
+        return verdict
+
+    base_ok = holds(explorer._initial_row())
+    counterexamples = []
+    examined = 0
+    for index, combination in enumerate(itertools.product(*spaces)):
+        if index >= max_abstract_states:
+            raise SpecificationError(
+                "abstract state space exceeds max_abstract_states; "
+                "shrink the domains"
+            )
+        row = tuple(combination[i] for i in order)
+        if not holds(row):
+            continue
+        examined += 1
+        get = dict(zip(cells, row)).__getitem__
+        for instance in explorer.instances:
+            successor = explorer._apply(instance, row, get)
+            if not holds(successor):
+                update, params = instance[0], instance[1]
+                counterexamples.append(
+                    (snapshot(row), update, params, snapshot(successor))
+                )
+                if len(counterexamples) >= 10:
+                    return InductionReport(
+                        False,
+                        base_ok,
+                        False,
+                        examined,
+                        tuple(counterexamples),
+                    )
+    step_ok = not counterexamples
+    return InductionReport(
+        ok=base_ok and step_ok,
+        base_ok=base_ok,
+        step_ok=step_ok,
+        states_examined=examined,
+        counterexamples=tuple(counterexamples),
+    )
+
+
+def prove_invariant_by_rewriting(
+    spec: AlgebraicSpec,
+    invariant: Callable[[Snapshot], bool],
+    max_abstract_states: int = 1_000_000,
+) -> InductionReport:
+    """:func:`prove_invariant` with every abstract successor rewritten
+    by :func:`abstract_successor` — the oracle of the compiled step."""
     algebra = TraceAlgebra(spec)
     engine = _engine(spec)
     base_snapshot = algebra.snapshot(algebra.initial_trace())

@@ -220,19 +220,55 @@ def prove_static_consistency(
     The invariant is "the state satisfies every static constraint";
     the step is checked over *every abstract state* satisfying it —
     exactly the closure of V — via
-    :func:`repro.algebraic.induction.prove_invariant`.
+    :func:`repro.algebraic.induction.prove_invariant`.  The invariant
+    is decided by the serving runtime's compiled static guard
+    instances (:class:`~repro.runtime.guards.AdmissionGuard`: the
+    axioms grounded over the carriers through I, as admission uses
+    them): "no static instance is violated".  Axioms outside the
+    compilable fragment fall back to :func:`satisfaction_invariant`,
+    the interpretive oracle.
 
     Returns:
         An :class:`~repro.algebraic.induction.InductionReport`; if it
         is ok, G ⊆ V is *proved*, not merely enumerated.
     """
     from repro.algebraic.induction import prove_invariant
-    from repro.logic.semantics import satisfies
+    from repro.errors import ServingError
+    from repro.runtime.guards import AdmissionGuard
 
     if interpretation is None:
         interpretation = Interpretation.homonym(
             information, spec.signature
         )
+    try:
+        guard = AdmissionGuard(information, spec, carriers, interpretation)
+    except ServingError:
+        invariant = satisfaction_invariant(
+            information, carriers, spec, interpretation
+        )
+    else:
+
+        def invariant(snapshot) -> bool:
+            return not guard.static_violations(
+                dict(snapshot.entries).__getitem__
+            )
+
+    return prove_invariant(
+        spec, invariant, max_abstract_states=max_abstract_states
+    )
+
+
+def satisfaction_invariant(
+    information: InformationSpec,
+    carriers: dict[Sort, list[str]],
+    spec,
+    interpretation: Interpretation,
+):
+    """"The snapshot satisfies every static constraint", decided by
+    :func:`repro.logic.semantics.satisfies` over the level-1 structure
+    the snapshot denotes under I — the oracle of the guard-compiled
+    invariant :func:`prove_static_consistency` uses."""
+    from repro.logic.semantics import satisfies
 
     def invariant(snapshot) -> bool:
         structure = interpretation.structure_of_snapshot(
@@ -243,9 +279,7 @@ def prove_static_consistency(
             for axiom in information.static_constraints
         )
 
-    return prove_invariant(
-        spec, invariant, max_abstract_states=max_abstract_states
-    )
+    return invariant
 
 
 # ---------------------------------------------------------------------

@@ -279,6 +279,21 @@ class InducedStructure:
                         "multivalued"
                     )
         self._trace_cache: dict[Term, DatabaseState] = {}
+        #: The successor table: ``(proc, params, state)`` -> the
+        #: procedure's unique successor state.  :meth:`reachable_states`
+        #: fills it; the equation checks then read every update
+        #: application from it instead of re-running the procedure.
+        self._successors: dict[tuple, DatabaseState] = {}
+        #: ``(query, params, state)`` -> the K-realized query value.
+        self._query_values: dict[tuple, Hashable] = {}
+        #: equation -> its compiled frame (see :meth:`compile_equation`);
+        #: closures do not pickle, so worker copies rebuild it.
+        self._compiled: dict[ConditionalEquation, tuple] = {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_compiled"] = {}
+        return state
 
     @property
     def domains(self) -> dict[Sort, tuple[str, ...]]:
@@ -301,6 +316,17 @@ class InducedStructure:
         return self._step(self.rep_map.proc_for(update), params, state)
 
     def _step(
+        self, proc: str, params: tuple[str, ...], state: DatabaseState
+    ) -> DatabaseState:
+        key = (proc, params, state)
+        successor = self._successors.get(key)
+        if successor is None:
+            successor = self._successors[key] = self._run(
+                proc, params, state
+            )
+        return successor
+
+    def _run(
         self, proc: str, params: tuple[str, ...], state: DatabaseState
     ) -> DatabaseState:
         results = run_proc(
@@ -399,6 +425,19 @@ class InducedStructure:
             RefinementError: if a functional realization has zero or
                 several satisfying result values at the state.
         """
+        key = (query, params, state)
+        if key not in self._query_values:
+            self._query_values[key] = self._realize_query(
+                query, params, state
+            )
+        return self._query_values[key]
+
+    def _realize_query(
+        self,
+        query: str,
+        params: tuple[str, ...],
+        state: DatabaseState,
+    ) -> Hashable:
         realization = self.rep_map.realization(query)
         valuation = {
             var: value
@@ -542,6 +581,163 @@ class InducedStructure:
             f"unsupported condition construct {condition!r}"
         )
 
+    # ------------------------------------------------------------------
+    # compiled equations: closures over (parameter values..., state)
+    # ------------------------------------------------------------------
+    def compile_equation(self, equation: ConditionalEquation):
+        """The equation's frame with its condition and sides compiled
+        once into closures over an environment tuple — the values of
+        the parameter variables (sorted by name) followed by the state.
+
+        Each closure mirrors :meth:`eval_term` / :meth:`holds` step for
+        step, including evaluation order and the errors raised, and
+        reads update applications and query values through the
+        successor table and the query memo; the two interpreters stay
+        as its oracle.
+
+        Returns:
+            ``(param_vars, spaces, condition, lhs, rhs)``, with
+            ``condition`` ``None`` for an unconditional equation.
+
+        Raises:
+            RefinementError: if the equation has more than one state
+                variable.
+        """
+        frame = self._compiled.get(equation)
+        if frame is None:
+            state_vars, param_vars, spaces = _equation_frame(
+                self.signature, equation
+            )
+            slots = {var: i for i, var in enumerate(param_vars)}
+            if state_vars:
+                slots[state_vars[0]] = len(param_vars)
+            condition = (
+                None
+                if equation.condition is None
+                else self._compile_condition(
+                    equation.condition, slots, len(param_vars) + 1
+                )
+            )
+            frame = self._compiled[equation] = (
+                param_vars,
+                spaces,
+                condition,
+                self._compile_term(equation.lhs, slots),
+                self._compile_term(equation.rhs, slots),
+            )
+        return frame
+
+    def _compile_term(self, term: Term, slots: dict[Var, int]):
+        if isinstance(term, Var):
+            index = slots.get(term)
+            if index is None:
+                return _raising(f"unbound variable {term.name}")
+            return lambda env: env[index]
+        if not isinstance(term, App):
+            return _raising(f"unsupported term {term!r}")
+        symbol = term.symbol
+        sig = self.signature
+        if symbol.name == "True" and symbol.result_sort == BOOLEAN:
+            return lambda env: True
+        if symbol.name == "False" and symbol.result_sort == BOOLEAN:
+            return lambda env: False
+        args = [self._compile_term(arg, slots) for arg in term.args]
+        if sig.is_connective(symbol):
+            # Every operand is evaluated, as in eval_term.
+            combine = _CONNECTIVES[symbol.name]
+            return lambda env: combine(*[bool(arg(env)) for arg in args])
+        if sig.is_equality_test(symbol):
+            lhs, rhs = args
+            return lambda env: lhs(env) == rhs(env)
+        interp = sig.interpretation(symbol.name)
+        if interp is not None:
+            return lambda env: interp(*[arg(env) for arg in args])
+        if sig.is_initial(symbol):
+            return lambda env: self.initial()
+        if sig.is_update(symbol) or sig.is_query(symbol):
+            *params, inner = args
+            apply = (
+                self.apply_update
+                if sig.is_update(symbol)
+                else self.eval_query
+            )
+            name = symbol.name
+
+            def application(env):
+                state = inner(env)
+                values = tuple([str(param(env)) for param in params])
+                return apply(name, values, state)
+
+            return application
+        if symbol.is_constant:
+            value = symbol.name  # a parameter name
+            return lambda env: value
+        return _raising(f"cannot evaluate {term} in N(U)")
+
+    def _compile_condition(
+        self, condition: fm.Formula, slots: dict[Var, int], width: int
+    ):
+        """Compile a condition; quantifiers append their bound value
+        to the environment, so ``width`` is its length here."""
+        if isinstance(condition, fm.TrueF):
+            return lambda env: True
+        if isinstance(condition, fm.FalseF):
+            return lambda env: False
+        if isinstance(condition, fm.Equals):
+            lhs = self._compile_term(condition.lhs, slots)
+            rhs = self._compile_term(condition.rhs, slots)
+            return lambda env: lhs(env) == rhs(env)
+        if isinstance(condition, fm.Not):
+            body = self._compile_condition(condition.body, slots, width)
+            return lambda env: not body(env)
+        if isinstance(condition, (fm.And, fm.Or, fm.Implies, fm.Iff)):
+            lhs = self._compile_condition(condition.lhs, slots, width)
+            rhs = self._compile_condition(condition.rhs, slots, width)
+            if isinstance(condition, fm.And):
+                return lambda env: lhs(env) and rhs(env)
+            if isinstance(condition, fm.Or):
+                return lambda env: lhs(env) or rhs(env)
+            if isinstance(condition, fm.Implies):
+                return lambda env: (not lhs(env)) or rhs(env)
+            return lambda env: lhs(env) == rhs(env)
+        if isinstance(condition, (fm.Forall, fm.Exists)):
+            var = condition.var
+            try:
+                carrier = self.signature.domain(var.sort)
+            except Exception:
+                return _raising(
+                    f"condition quantifies over non-parameter sort "
+                    f"{var.sort}"
+                )
+            body = self._compile_condition(
+                condition.body, {**slots, var: width}, width + 1
+            )
+            quantifier = all if isinstance(condition, fm.Forall) else any
+            return lambda env: quantifier(
+                body((*env, value)) for value in carrier
+            )
+        return _raising(f"unsupported condition construct {condition!r}")
+
+
+def _raising(message: str):
+    """A closure raising ``RefinementError(message)`` when evaluated —
+    the interpreters raise where they meet the construct, not before."""
+
+    def fail(env):
+        raise RefinementError(message)
+
+    return fail
+
+
+#: The Boolean connectives of L2, over already-evaluated operands.
+_CONNECTIVES = {
+    "not": lambda a: not a,
+    "and": lambda a, b: a and b,
+    "or": lambda a, b: a or b,
+    "implies": lambda a, b: (not a) or b,
+    "iff": lambda a, b: a == b,
+}
+
 
 @dataclass(frozen=True)
 class EquationFailure:
@@ -602,9 +798,11 @@ class SecondToThirdReport:
 _FAILURE_CAP = 20
 
 
-def _equation_frame(spec: AlgebraicSpec, equation: ConditionalEquation):
+def _equation_frame(
+    signature: AlgebraicSignature, equation: ConditionalEquation
+):
     """The (state variable, parameter variables, value spaces) of one
-    equation — the serial loop's per-equation preamble."""
+    equation."""
     variables = sorted(
         equation.lhs.free_vars()
         | (
@@ -620,12 +818,11 @@ def _equation_frame(spec: AlgebraicSpec, equation: ConditionalEquation):
         raise RefinementError(
             f"{equation.describe()}: more than one state variable"
         )
-    spaces = [spec.signature.domain(var.sort) for var in param_vars]
+    spaces = [signature.domain(var.sort) for var in param_vars]
     return state_vars, param_vars, spaces
 
 
 def _check_pair(
-    spec: AlgebraicSpec,
     induced: InducedStructure,
     state: DatabaseState,
     equation: ConditionalEquation,
@@ -635,23 +832,21 @@ def _check_pair(
 
     Returns ``(instances evaluated, [(instance offset, failure), ...])``
     where the offset is the pair-local instance count at the failure —
-    the value the merger needs to replay the serial early exit.  Stops
-    once ``failure_budget`` failures are recorded.
+    the value the merger needs to replay the early exit.  Stops once
+    ``failure_budget`` failures are recorded.
     """
-    state_vars, param_vars, spaces = _equation_frame(spec, equation)
+    param_vars, spaces, condition, lhs, rhs = induced.compile_equation(
+        equation
+    )
     pair_instances = 0
     pair_failures: list[tuple[int, EquationFailure]] = []
     for values in itertools.product(*spaces):
-        valuation: dict[Var, Hashable] = dict(zip(param_vars, values))
-        if state_vars:
-            valuation[state_vars[0]] = state
-        if equation.condition is not None and not induced.holds(
-            equation.condition, valuation
-        ):
+        env = (*values, state)
+        if condition is not None and not condition(env):
             continue
         pair_instances += 1
-        lhs_value = induced.eval_term(equation.lhs, valuation)
-        rhs_value = induced.eval_term(equation.rhs, valuation)
+        lhs_value = lhs(env)
+        rhs_value = rhs(env)
         if lhs_value != rhs_value:
             pair_failures.append(
                 (
@@ -674,13 +869,14 @@ def _check_pair(
 
 
 def _pairs_chunk(context, index_range):
-    """Worker chunk: check an index range of (equation, state) pairs.
+    """Check an index range of (equation, state) pairs — the whole
+    range in process at one worker, one chunk per worker otherwise.
 
     Each pair yields ``("ok", instances, failures)`` or — when the
-    equation is malformed — ``("error", message)``, so the merger can
-    re-raise at exactly the serial raise point.  The chunk stops once
-    it holds :data:`_FAILURE_CAP` failures; the merge can never need
-    more than the cap from a single chunk.
+    equation is malformed — ``("error", message)``, so the merger
+    re-raises at exactly the pair where the check stopped.  The chunk
+    stops once it holds :data:`_FAILURE_CAP` failures; the merge can
+    never need more than the cap from a single chunk.
     """
     spec, induced, states = context
     num_states = len(states)
@@ -691,13 +887,11 @@ def _pairs_chunk(context, index_range):
         if local_failures >= _FAILURE_CAP:
             break
         eq_index, state_index = divmod(flat, num_states)
-        equation = spec.equations[eq_index]
         try:
             pair_instances, pair_failures = _check_pair(
-                spec,
                 induced,
                 states[state_index],
-                equation,
+                spec.equations[eq_index],
                 _FAILURE_CAP - local_failures,
             )
         except RefinementError as exc:
@@ -722,14 +916,17 @@ def check_refinement(
     Every conditional equation of A2 is checked at every reachable
     database state (the value of the equation's state variable), for
     every instantiation of its parameter variables over the declared
-    domains; both sides are evaluated in the induced structure N(U).
+    domains; both sides are evaluated in the induced structure N(U),
+    through the equations' compiled closures
+    (:meth:`InducedStructure.compile_equation`).
 
     Args:
         workers: check (equation, state) pairs on this many processes.
-            The merge replays the serial pair order — including the
-            early exit after twenty failures and its exact
+            The merge replays the pair order — including the early
+            exit after twenty failures and its exact
             ``instances_checked`` count — so the report is identical
-            for every worker count.
+            for every worker count.  Workers receive the successor
+            table :meth:`InducedStructure.reachable_states` filled.
         stats: optional sink receiving one ``"second-third"`` record.
     """
     started = time.perf_counter()
@@ -740,92 +937,28 @@ def check_refinement(
         states = induced.reachable_states(max_states=max_states)
         rs.count("second_third.db_states", len(states))
 
-    if workers <= 1:
-        failures: list[EquationFailure] = []
-        instances = 0
-        report = None
-        for equation in spec.equations:
-            state_vars, param_vars, spaces = _equation_frame(
-                spec, equation
-            )
-            for state in states:
-                for values in itertools.product(*spaces):
-                    valuation: dict[Var, Hashable] = dict(
-                        zip(param_vars, values)
-                    )
-                    if state_vars:
-                        valuation[state_vars[0]] = state
-                    if (
-                        equation.condition is not None
-                        and not induced.holds(
-                            equation.condition, valuation
-                        )
-                    ):
-                        continue
-                    instances += 1
-                    lhs_value = induced.eval_term(
-                        equation.lhs, valuation
-                    )
-                    rhs_value = induced.eval_term(
-                        equation.rhs, valuation
-                    )
-                    if lhs_value != rhs_value:
-                        failures.append(
-                            EquationFailure(
-                                equation,
-                                state,
-                                tuple(
-                                    (var.name, value)
-                                    for var, value in zip(
-                                        param_vars, values
-                                    )
-                                ),
-                                lhs_value,
-                                rhs_value,
-                            )
-                        )
-                        if len(failures) >= _FAILURE_CAP:
-                            report = SecondToThirdReport(
-                                False,
-                                len(states),
-                                instances,
-                                tuple(failures),
-                            )
-                            break
-                if report is not None:
-                    break
-            if report is not None:
-                break
-        if report is None:
-            report = SecondToThirdReport(
-                not failures, len(states), instances, tuple(failures)
-            )
-        if stats is not None:
-            record = WorkerStats(
-                worker=0,
-                items=report.instances_checked,
-                wall_time=time.perf_counter() - started,
-            )
-            stats.add(
-                VerificationStats.merge(
-                    "second-third",
-                    1,
-                    [record],
-                    time.perf_counter() - started,
-                )
-            )
-        return report
-
+    context = (spec, induced, states)
     total_pairs = len(spec.equations) * len(states)
-    with _span(
-        "second-third.pairs", workers=workers, pairs=total_pairs
-    ):
-        chunked, per_worker = run_chunked(
-            _pairs_chunk,
-            (spec, induced, states),
-            chunk_ranges(total_pairs, workers),
-            workers,
-        )
+    if workers <= 1:
+        records, counters = _pairs_chunk(context, range(total_pairs))
+        chunked = [records]
+        per_worker = [
+            WorkerStats(
+                worker=0,
+                wall_time=time.perf_counter() - started,
+                **counters,
+            )
+        ]
+    else:
+        with _span(
+            "second-third.pairs", workers=workers, pairs=total_pairs
+        ):
+            chunked, per_worker = run_chunked(
+                _pairs_chunk,
+                context,
+                chunk_ranges(total_pairs, workers),
+                workers,
+            )
     failures = []
     instances = 0
     report = None
@@ -854,7 +987,7 @@ def check_refinement(
         stats.add(
             VerificationStats.merge(
                 "second-third",
-                workers,
+                max(1, workers),
                 per_worker,
                 time.perf_counter() - started,
             )

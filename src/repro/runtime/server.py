@@ -18,7 +18,9 @@ Responses carry ``"ok": true`` plus the operation's payload, or
 ``ok`` even when the guards reject it — the request was served; the
 admission verdict is the payload's ``"accepted"`` field, with the
 :class:`~repro.runtime.guards.GuardViolation` witness under
-``"violation"``.
+``"violation"``.  ``params`` must be a JSON list of strings; a request
+line longer than the stream limit (64 KiB) gets an error reply and the
+connection closes.
 
 Request handling is synchronous (:meth:`RuntimeServer.handle_request`)
 under a single event loop, so updates serialize naturally — the store
@@ -38,6 +40,12 @@ from repro.obs.tracer import OBS_STATE as _OBS
 from repro.runtime.service import SpecRuntime
 
 __all__ = ["RuntimeServer", "serve"]
+
+#: The reply to a request line longer than the stream reader's limit
+#: (asyncio's default, 64 KiB).
+_OVERSIZED = (
+    json.dumps({"ok": False, "error": "request line too long"}) + "\n"
+).encode("utf-8")
 
 
 class RuntimeServer:
@@ -82,15 +90,19 @@ class RuntimeServer:
         try:
             if op == "ping":
                 return {"ok": True, "pong": True}, False
-            if op == "query":
-                value = self.runtime.query(
-                    request["query"], request.get("params", [])
-                )
-                return {"ok": True, "value": value}, False
-            if op == "update":
-                result = self.runtime.execute(
-                    request["update"], request.get("params", [])
-                )
+            if op in ("query", "update"):
+                params = request.get("params", [])
+                if not isinstance(params, list) or not all(
+                    isinstance(param, str) for param in params
+                ):
+                    return {
+                        "ok": False,
+                        "error": "'params' must be a list of strings",
+                    }, False
+                if op == "query":
+                    value = self.runtime.query(request["query"], params)
+                    return {"ok": True, "value": value}, False
+                result = self.runtime.execute(request["update"], params)
                 return {"ok": True, **result.to_dict()}, False
             if op == "state":
                 cells = [
@@ -150,7 +162,14 @@ class RuntimeServer:
     ) -> None:
         try:
             while not self._stopping.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line overran the stream limit; its framing
+                    # is lost, so answer and close the connection.
+                    writer.write(_OVERSIZED)
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 text = line.decode("utf-8", errors="replace").strip()

@@ -46,7 +46,7 @@ from repro.algebraic.induction import (
 from repro.algebraic.plans import UpdatePlan, UpdatePlanner
 from repro.algebraic.spec import AlgebraicSpec
 from repro.logic.sorts import BOOLEAN
-from repro.runtime.compiler import Cell
+from repro.algebraic.compiler import Cell
 
 __all__ = ["MaterializedState", "UpdatePlan"]
 

@@ -135,40 +135,190 @@ class TestProveStaticConsistency:
 
     def test_faulty_cancel_caught_inductively(self):
         from repro.applications.courses import (
-            courses_descriptions,
             courses_information,
             courses_information_carriers,
-            courses_signature,
         )
-        from repro.algebraic.description import (
-            StructuredDescription,
-            initial_equations,
-            synthesize_equations,
-        )
-        from repro.algebraic.spec import AlgebraicSpec
         from repro.refinement.first_second import (
             prove_static_consistency,
         )
 
-        signature = courses_signature()
-        descriptions = []
-        for description in courses_descriptions(signature):
-            if description.update == "cancel":
-                description = StructuredDescription(
-                    update="cancel",
-                    params=description.params,
-                    precondition=None,
-                    effects=description.effects,
-                )
-            descriptions.append(description)
-        equations = initial_equations(signature) + synthesize_equations(
-            signature, descriptions
-        )
-        spec = AlgebraicSpec(signature, tuple(equations))
         report = prove_static_consistency(
             courses_information(),
             courses_information_carriers(),
-            spec,
+            _faulty_cancel_spec(),
         )
         assert not report.ok
         assert report.counterexamples
+
+
+def _faulty_cancel_spec():
+    """The registrar with ``cancel``'s precondition dropped: cancelling
+    a course with enrolled students breaks the static constraint."""
+    from repro.applications.courses import (
+        courses_descriptions,
+        courses_signature,
+    )
+    from repro.algebraic.description import (
+        StructuredDescription,
+        initial_equations,
+        synthesize_equations,
+    )
+    from repro.algebraic.spec import AlgebraicSpec
+
+    signature = courses_signature()
+    descriptions = []
+    for description in courses_descriptions(signature):
+        if description.update == "cancel":
+            description = StructuredDescription(
+                update="cancel",
+                params=description.params,
+                precondition=None,
+                effects=description.effects,
+            )
+        descriptions.append(description)
+    equations = initial_equations(signature) + synthesize_equations(
+        signature, descriptions
+    )
+    return AlgebraicSpec(signature, tuple(equations))
+
+def _oracle_static_consistency(information, carriers, spec, interpretation):
+    """Today's interpretive proof: the invariant decided by
+    ``satisfies`` over the structure of each snapshot, every abstract
+    successor rewritten."""
+    from repro.algebraic.induction import prove_invariant_by_rewriting
+    from repro.refinement.first_second import satisfaction_invariant
+    from repro.refinement.interpretation import Interpretation
+
+    interpretation = interpretation or Interpretation.homonym(
+        information, spec.signature
+    )
+    return prove_invariant_by_rewriting(
+        spec,
+        satisfaction_invariant(information, carriers, spec, interpretation),
+    )
+
+
+def _assert_compiled_matches_oracle(
+    monkeypatch, information, carriers, spec, interpretation=None
+):
+    from repro.algebraic import induction
+    from repro.refinement.first_second import prove_static_consistency
+
+    oracle = _oracle_static_consistency(
+        information, carriers, spec, interpretation
+    )
+
+    def rewriting_is_oracle_only(*args, **kwargs):
+        raise AssertionError("the compiled proof rewrote a successor")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            induction, "abstract_successor", rewriting_is_oracle_only
+        )
+        compiled = prove_static_consistency(
+            information, carriers, spec, interpretation
+        )
+    assert compiled == oracle
+    assert str(compiled) == str(oracle)
+    return compiled
+
+
+class TestCompiledAgainstOracle:
+    """The value-row proof with the guard-compiled invariant equals
+    the interpretive proof: same verdict, same counterexamples, same
+    order."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "courses",
+            "library",
+            "bank",
+            pytest.param("projects", marks=pytest.mark.slow),
+        ],
+    )
+    def test_shipped_applications(self, name, monkeypatch):
+        from repro.cli import APPLICATIONS
+
+        framework = APPLICATIONS[name]()
+        report = _assert_compiled_matches_oracle(
+            monkeypatch,
+            framework.information,
+            framework.carriers,
+            framework.algebraic,
+            framework.interpretation,
+        )
+        assert report.ok
+
+    def test_every_update_instance_is_checked(self):
+        # With P = "the state is X" the step fails exactly on the
+        # instances that move X; the bank has 8 instances, under the
+        # cap of 10, so each report lists all of them.
+        from repro.algebraic.induction import prove_invariant_by_rewriting
+
+        spec = bank_algebraic()
+        for target in all_snapshots(spec):
+
+            def invariant(snapshot, target=target):
+                return snapshot == target
+
+            assert prove_invariant(
+                spec, invariant
+            ) == prove_invariant_by_rewriting(spec, invariant)
+
+    def test_faulty_cancel(self, monkeypatch):
+        from repro.applications.courses import (
+            courses_information,
+            courses_information_carriers,
+        )
+
+        report = _assert_compiled_matches_oracle(
+            monkeypatch,
+            courses_information(),
+            courses_information_carriers(),
+            _faulty_cancel_spec(),
+        )
+        assert not report.ok and report.counterexamples
+
+    @pytest.mark.parametrize(
+        "app,static",
+        [
+            ("courses", "forall s:student, c:course. ~takes(s, c)"),
+            (
+                "courses",
+                "forall c:course. offered(c) ->"
+                " exists s:student. takes(s, c)",
+            ),
+            (
+                "courses",
+                "~exists s:student, c:course. takes(s, c) & offered(c)",
+            ),
+            ("bank", "forall a:account. open(a) -> balance(a, m0)"),
+            ("bank", "forall a:account. ~open(a)"),
+        ],
+    )
+    def test_seeded_static_constraint_mutants(
+        self, app, static, monkeypatch
+    ):
+        from repro.cli import APPLICATIONS
+        from repro.information.spec import InformationSpec
+        from repro.logic.parser import parse_formula
+
+        framework = APPLICATIONS[app]()
+        information = framework.information
+        mutant = InformationSpec(
+            information.signature,
+            (
+                parse_formula(static, information.signature),
+                *information.transition_constraints,
+            ),
+            name=f"{information.name} (mutant)",
+        )
+        report = _assert_compiled_matches_oracle(
+            monkeypatch,
+            mutant,
+            framework.carriers,
+            framework.algebraic,
+            framework.interpretation,
+        )
+        assert not report.ok and report.counterexamples

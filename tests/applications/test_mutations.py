@@ -61,3 +61,26 @@ def test_every_rhs_negation_is_refuted(label, mutant, schema):
 def test_unmutated_baseline_passes(schema):
     report = check_refinement(courses_algebraic(), schema)
     assert report.ok
+
+
+@pytest.mark.parametrize(
+    "label,mutant", MUTANTS, ids=[label for label, _ in MUTANTS]
+)
+def test_reports_identical_across_worker_counts(label, mutant, schema):
+    """Two workers replay the serial failure order, the early exit
+    after twenty failures and its instance count exactly; the
+    compiled check also agrees with the interpreters."""
+    from tests.refinement.test_second_third import _interpretive_check
+
+    serial = check_refinement(mutant, schema)
+    assert check_refinement(mutant, schema, workers=2) == serial
+    assert _interpretive_check(mutant, schema) == serial
+
+
+def test_some_mutant_reaches_the_failure_cap(schema):
+    capped = [
+        label
+        for label, mutant in MUTANTS
+        if len(check_refinement(mutant, schema).failures) == 20
+    ]
+    assert capped

@@ -152,3 +152,151 @@ class TestRefinementCheck:
             TraceAlgebra(spec), bad, depth=3, max_traces=6_000
         )
         assert not report.ok
+
+
+def _interpretive_check(spec, schema, rep_map=None):
+    """The equation check on the interpreters — every instance walks
+    its terms through ``holds``/``eval_term`` and every update runs the
+    RPR procedure — the oracle of the compiled check."""
+    import itertools
+
+    from repro.logic.sorts import STATE
+    from repro.refinement.second_third import (
+        EquationFailure,
+        SecondToThirdReport,
+    )
+    from repro.rpr.semantics import run_proc
+
+    rep_map = rep_map or RepresentationMap.homonym(spec.signature, schema)
+    induced = InducedStructure(spec.signature, schema, rep_map)
+    states = induced.reachable_states()
+
+    def apply_update(update, params, state):
+        (successor,) = run_proc(
+            schema, rep_map.proc_for(update), params, state,
+            induced.domains,
+        )
+        return successor
+
+    induced.apply_update = apply_update
+    failures, instances = [], 0
+    for equation in spec.equations:
+        variables = sorted(
+            equation.lhs.free_vars()
+            | (equation.condition.free_vars() if equation.condition
+               else frozenset()),
+            key=lambda v: v.name,
+        )
+        state_vars = [v for v in variables if v.sort == STATE]
+        params = [v for v in variables if v.sort != STATE]
+        spaces = [spec.signature.domain(v.sort) for v in params]
+        for state in states:
+            for values in itertools.product(*spaces):
+                valuation = dict(zip(params, values))
+                if state_vars:
+                    valuation[state_vars[0]] = state
+                if equation.condition is not None and not induced.holds(
+                    equation.condition, valuation
+                ):
+                    continue
+                instances += 1
+                lhs = induced.eval_term(equation.lhs, valuation)
+                rhs = induced.eval_term(equation.rhs, valuation)
+                if lhs != rhs:
+                    failures.append(EquationFailure(
+                        equation, state,
+                        tuple((v.name, x) for v, x in zip(params, values)),
+                        lhs, rhs,
+                    ))
+                    if len(failures) == 20:
+                        return SecondToThirdReport(
+                            False, len(states), instances, tuple(failures)
+                        )
+    return SecondToThirdReport(
+        not failures, len(states), instances, tuple(failures)
+    )
+
+
+class TestCompiledAgainstInterpreters:
+    """The compiled equation check equals the interpretive one."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "courses",
+            "library",
+            "bank",
+            pytest.param("projects", marks=pytest.mark.slow),
+        ],
+    )
+    def test_shipped_applications(self, name):
+        from repro.cli import APPLICATIONS
+
+        framework = APPLICATIONS[name]()
+        args = (
+            framework.algebraic,
+            framework.schema,
+            framework.representation,
+        )
+        compiled = check_refinement(*args)
+        oracle = _interpretive_check(*args)
+        assert compiled == oracle and str(compiled) == str(oracle)
+
+    def test_broken_schema(self, spec):
+        bad = parse_schema(BROKEN_CANCEL)
+        compiled = check_refinement(spec, bad)
+        assert not compiled.ok
+        assert compiled == _interpretive_check(spec, bad)
+
+    def test_successor_table_holds_the_procedure_results(
+        self, spec, schema
+    ):
+        from repro.rpr.semantics import run_proc
+
+        induced = InducedStructure(
+            spec.signature,
+            schema,
+            RepresentationMap.homonym(spec.signature, schema),
+        )
+        states = induced.reachable_states()
+        # initiate plus each of the 16 update instances (2 offer, 2
+        # cancel, 4 enroll, 8 transfer) at every reachable state.
+        assert len(induced._successors) == 1 + 16 * len(states)
+        for (proc, params, state), successor in induced._successors.items():
+            assert run_proc(
+                schema, proc, params, state, induced.domains
+            ) == {successor}
+
+    def test_successor_table_reaches_worker_chunks(
+        self, spec, schema, monkeypatch
+    ):
+        import pickle
+
+        from repro.parallel.backends import use_backend
+        from repro.refinement import second_third
+
+        induced = InducedStructure(
+            spec.signature,
+            schema,
+            RepresentationMap.homonym(spec.signature, schema),
+        )
+        induced.reachable_states()
+        induced.compile_equation(spec.equations[0])
+        copy = pickle.loads(pickle.dumps(induced))
+        assert copy._successors == induced._successors
+        assert copy._compiled == {}
+
+        calls = []
+        real = second_third.run_proc
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(second_third, "run_proc", counting)
+        with use_backend("inline"):
+            report = check_refinement(spec, schema, workers=2)
+        assert report.ok
+        # Only the reachability BFS ran procedures; the chunks, on
+        # their unpickled copies, read every update from the table.
+        assert len(calls) == 1 + 16 * report.states_checked

@@ -241,3 +241,78 @@ class TestStatsMetrics:
         assert metrics["counters"]["runtime.updates.rejected"] == 1
         assert metrics["gauges"]["runtime.seq"] == 1
         assert metrics["gauges"]["runtime.uptime_seconds"] >= 0.0
+
+
+class TestHostileInputs:
+    """Malformed params and oversized lines get a clean error reply
+    (or a clean close), change nothing, and leave the server up."""
+
+    @pytest.mark.parametrize(
+        "params",
+        ["a1", "a", [["a1"]], [1], {"a": "a1"}],
+        ids=["string", "one-char-string", "nested", "number", "object"],
+    )
+    def test_params_must_be_a_list_of_strings(self, server, params):
+        for request in (
+            {"op": "update", "update": "open_account", "params": params},
+            {"op": "query", "query": "open", "params": params},
+        ):
+            response, stop = server.handle_request(request)
+            assert response == {
+                "ok": False,
+                "error": "'params' must be a list of strings",
+            }
+            assert not stop
+        assert server.runtime.seq == 0
+
+    def test_over_the_wire(self, bank_app):
+        runtime = SpecRuntime(bank_app.framework, bank_app.descriptions)
+        before = dict(runtime.store.cells)
+        oversized = (
+            b'{"op": "update", "update": "open_account", "params": ["'
+            + b"a" * 70_000
+            + b'"]}\n'
+        )
+
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            server = RuntimeServer(runtime, allow_shutdown=True)
+            await server.start()
+            serving = asyncio.create_task(server.serve_until_stopped())
+
+            async def exchange(payload: bytes):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(payload)
+                await writer.drain()
+                line = await asyncio.wait_for(reader.readline(), 10)
+                writer.close()
+                return json.loads(line) if line else None
+
+            def encode(request) -> bytes:
+                return (json.dumps(request) + "\n").encode()
+
+            replies = [
+                await exchange(encode(
+                    {"op": "update", "update": "open_account",
+                     "params": params}
+                ))
+                for params in ("a1", [["a1"]])
+            ]
+            replies.append(await exchange(oversized))
+            assert (await exchange(encode({"op": "ping"})))["pong"]
+            await exchange(encode({"op": "shutdown"}))
+            await asyncio.wait_for(serving, timeout=10)
+            return replies, errors
+
+        replies, errors = asyncio.run(scenario())
+        assert replies[0]["error"] == replies[1]["error"] == (
+            "'params' must be a list of strings"
+        )
+        assert replies[2] == {"ok": False, "error": "request line too long"}
+        assert errors == []
+        assert runtime.seq == 0 and dict(runtime.store.cells) == before
