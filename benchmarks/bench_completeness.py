@@ -57,17 +57,17 @@ def bench_parallel_coverage_domain3(benchmark, workers):
     """Coverage at the largest domain point (3 students, 3 courses),
     scaled over worker count; per-run ``VerificationStats`` land in
     ``extra_info`` (machine-readable via ``--benchmark-json``)."""
-    from repro.parallel import StatsSink
+    from repro.parallel import VerificationStats, stats_scope
 
     spec = courses_algebraic(default_students(3), default_courses(3))
     collected = {}
 
     def run():
-        sink = StatsSink()
-        report = check_coverage(
-            spec, 2, 5_000, workers=workers, stats=sink
+        with stats_scope() as scope:
+            report = check_coverage(spec, 2, 5_000, workers=workers)
+        collected["stats"] = VerificationStats.combine(
+            "coverage", scope.parts
         )
-        collected["stats"] = sink.combined("coverage")
         return report
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)

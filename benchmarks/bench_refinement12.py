@@ -17,7 +17,7 @@ from repro.applications.courses import (
     default_courses,
     default_students,
 )
-from repro.parallel import StatsSink
+from repro.parallel import VerificationStats, stats_scope
 from repro.refinement.first_second import (
     check_refinement,
     check_static_consistency,
@@ -121,9 +121,11 @@ def bench_parallel_exploration_2x3(benchmark, workers):
         return (algebra,), {}
 
     def run(algebra):
-        sink = StatsSink()
-        graph = algebra.explore(workers=workers, stats=sink)
-        collected["stats"] = sink.combined("explore")
+        with stats_scope() as scope:
+            graph = algebra.explore(workers=workers)
+        collected["stats"] = VerificationStats.combine(
+            "explore", scope.parts
+        )
         return graph
 
     graph = benchmark.pedantic(run, setup=setup, rounds=2, iterations=1)
@@ -146,11 +148,13 @@ def bench_parallel_section_44_bundle(benchmark, workers):
         return (info, carriers, algebra), {}
 
     def run(info, carriers, algebra):
-        sink = StatsSink()
-        report = check_refinement(
-            info, carriers, algebra, workers=workers, stats=sink
+        with stats_scope() as scope:
+            report = check_refinement(
+                info, carriers, algebra, workers=workers
+            )
+        collected["stats"] = VerificationStats.combine(
+            "first-second", scope.parts
         )
-        collected["stats"] = sink.combined("first-second")
         return report
 
     result = benchmark.pedantic(run, setup=setup, rounds=2, iterations=1)

@@ -18,7 +18,6 @@ refinement checks.
 from __future__ import annotations
 
 import itertools
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -31,13 +30,7 @@ from repro.obs.tracer import OBS_STATE as _OBS, span as _span
 from repro.logic.terms import App, Term
 from repro.parallel.executor import ParallelExecutor
 from repro.parallel.partition import chunk_ranges
-from repro.parallel.stats import (
-    StatsSink,
-    VerificationStats,
-    WorkerStats,
-    counter_delta,
-    engine_counters,
-)
+from repro.parallel.stats import counter_delta, engine_counters
 
 __all__ = ["TraceAlgebra", "Snapshot", "StateGraph", "Transition"]
 
@@ -431,12 +424,15 @@ class TraceAlgebra:
         max_states: int = 100_000,
         max_depth: int | None = None,
         workers: int = 1,
-        stats: StatsSink | None = None,
         edge_cache: dict | None = None,
     ) -> StateGraph:
         """Breadth-first construction of the reachable observational
         state space (the set G of Section 4.4b, modulo observational
         equality).
+
+        The pass's counters go on its ``explore`` span (serial) or on
+        the ``chunk`` spans under it (parallel): the ``"explore"``
+        stats part.
 
         Args:
             max_states: stop (and mark the graph truncated) after this
@@ -454,16 +450,12 @@ class TraceAlgebra:
                 replaying the serial visit order — so the resulting
                 graph (state order, transition order, witness traces,
                 truncation) is identical for every worker count.
-            stats: optional sink receiving one ``"explore"``
-                :class:`~repro.parallel.stats.VerificationStats`
-                record.
 
         Returns:
             The :class:`StateGraph` with one node per distinct
             snapshot, a witness trace per node, and every update edge
             between explored nodes.
         """
-        started = time.perf_counter()
         with _span("explore", workers=workers) as obs_span:
             if workers <= 1:
                 before = engine_counters(self.engine)
@@ -483,35 +475,10 @@ class TraceAlgebra:
                 obs_span.count(
                     "explore.transitions", len(graph.transitions)
                 )
-                if stats is not None:
-                    record = WorkerStats(
-                        worker=0,
-                        wall_time=time.perf_counter() - started,
-                        **delta,
-                    )
-                    stats.add(
-                        VerificationStats.merge(
-                            "explore",
-                            1,
-                            [record],
-                            time.perf_counter() - started,
-                        )
-                    )
                 return graph
-            graph, worker_stats = self._explore_parallel(
-                max_states, max_depth, workers
-            )
+            graph = self._explore_parallel(max_states, max_depth, workers)
             obs_span.count("explore.states", len(graph.states))
             obs_span.count("explore.transitions", len(graph.transitions))
-            if stats is not None:
-                stats.add(
-                    VerificationStats.merge(
-                        "explore",
-                        workers,
-                        worker_stats,
-                        time.perf_counter() - started,
-                    )
-                )
             return graph
 
     def _explore_packed(
@@ -587,7 +554,7 @@ class TraceAlgebra:
 
     def _explore_parallel(
         self, max_states: int, max_depth: int | None, workers: int
-    ) -> tuple[StateGraph, list[WorkerStats]]:
+    ) -> StateGraph:
         # The serial BFS is strictly level-ordered (FIFO frontier,
         # depth grows by one per enqueue), so expanding a whole level
         # at once and merging in frontier order replays it exactly.
@@ -640,6 +607,4 @@ class TraceAlgebra:
                                 (target, successor, depth + 1)
                             )
                 level = next_level
-            worker_stats = list(executor.worker_stats)
-        graph = StateGraph(initial_snapshot, states, transitions, truncated)
-        return graph, worker_stats
+        return StateGraph(initial_snapshot, states, transitions, truncated)

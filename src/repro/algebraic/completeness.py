@@ -31,7 +31,6 @@ absence of circularity".  This module implements both halves:
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -48,13 +47,7 @@ from repro.logic.terms import App, Term, Var
 from repro.obs.tracer import span as _span
 from repro.parallel.executor import run_chunked
 from repro.parallel.partition import chunk_ranges
-from repro.parallel.stats import (
-    StatsSink,
-    VerificationStats,
-    WorkerStats,
-    counter_delta,
-    engine_counters,
-)
+from repro.parallel.stats import counter_delta, engine_counters
 
 __all__ = [
     "TerminationReport",
@@ -287,48 +280,88 @@ def check_coverage(
     depth: int = 3,
     max_traces: int = 5_000,
     workers: int = 1,
-    stats: StatsSink | None = None,
 ) -> CoverageReport:
     """Check that every query evaluates on every trace up to ``depth``.
 
     First reports (query, constructor) pairs with no defining equation
     (static gap); then exhaustively evaluates all simple observations
     on all traces up to the depth bound, recording terms on which no
-    equation's condition held (dynamic gap).
+    equation's condition held (dynamic gap).  The scan runs under a
+    ``completeness.coverage`` span that carries its counters (serial)
+    or its ``chunk`` spans (parallel): the ``"coverage"`` stats part.
 
     Args:
         workers: scan the trace enumeration on this many processes.
             The merge replays the serial trace order, including the
             early exit after ten recorded gaps, so the report is
             identical for every worker count.
-        stats: optional sink receiving one ``"coverage"`` record.
     """
-    started = time.perf_counter()
     missing = _missing_constructors(spec)
     algebra = TraceAlgebra(spec)
+    with _span(
+        "completeness.coverage", depth=depth, workers=workers
+    ) as obs_span:
+        if workers <= 1:
+            before = engine_counters(algebra.engine)
+            items = 0
+            uncovered: list[str] = []
+            traces_checked = 0
+            report = None
+            for trace in itertools.islice(algebra.traces(depth), max_traces):
+                traces_checked += 1
+                for name, params in algebra.observations:
+                    items += 1
+                    try:
+                        algebra.query(name, *params, trace=trace)
+                    except (IncompletenessError, NonTerminationError) as exc:
+                        uncovered.append(str(exc))
+                        if len(uncovered) >= _UNCOVERED_CAP:
+                            report = CoverageReport(
+                                ok=False,
+                                missing_constructors=tuple(missing),
+                                uncovered=tuple(uncovered),
+                                traces_checked=traces_checked,
+                            )
+                            break
+                if report is not None:
+                    break
+            if report is None:
+                report = CoverageReport(
+                    ok=not missing and not uncovered,
+                    missing_constructors=tuple(missing),
+                    uncovered=tuple(uncovered),
+                    traces_checked=traces_checked,
+                )
+            obs_span.record(
+                counter_delta(before, engine_counters(algebra.engine), items)
+            )
+            return report
 
-    if workers <= 1:
-        before = engine_counters(algebra.engine)
-        items = 0
-        uncovered: list[str] = []
+        traces = list(itertools.islice(algebra.traces(depth), max_traces))
+        chunked, _ = run_chunked(
+            _coverage_chunk,
+            (algebra, traces),
+            chunk_ranges(len(traces), workers),
+            workers,
+        )
+        # Replay the serial scan over the per-trace gap lists: the counter
+        # semantics (a trace counts as checked once its scan starts, the
+        # scan stops at the cap mid-trace) match the serial loop exactly.
+        uncovered = []
         traces_checked = 0
         report = None
-        for trace in itertools.islice(algebra.traces(depth), max_traces):
+        for entries in itertools.chain.from_iterable(chunked):
             traces_checked += 1
-            for name, params in algebra.observations:
-                items += 1
-                try:
-                    algebra.query(name, *params, trace=trace)
-                except (IncompletenessError, NonTerminationError) as exc:
-                    uncovered.append(str(exc))
-                    if len(uncovered) >= _UNCOVERED_CAP:
-                        report = CoverageReport(
-                            ok=False,
-                            missing_constructors=tuple(missing),
-                            uncovered=tuple(uncovered),
-                            traces_checked=traces_checked,
-                        )
-                        break
+            for entry in entries:
+                uncovered.append(entry)
+                if len(uncovered) >= _UNCOVERED_CAP:
+                    report = CoverageReport(
+                        ok=False,
+                        missing_constructors=tuple(missing),
+                        uncovered=tuple(uncovered),
+                        traces_checked=traces_checked,
+                    )
+                    break
             if report is not None:
                 break
         if report is None:
@@ -338,65 +371,7 @@ def check_coverage(
                 uncovered=tuple(uncovered),
                 traces_checked=traces_checked,
             )
-        if stats is not None:
-            record = WorkerStats(
-                worker=0,
-                wall_time=time.perf_counter() - started,
-                **counter_delta(
-                    before, engine_counters(algebra.engine), items
-                ),
-            )
-            stats.add(
-                VerificationStats.merge(
-                    "coverage", 1, [record], time.perf_counter() - started
-                )
-            )
         return report
-
-    traces = list(itertools.islice(algebra.traces(depth), max_traces))
-    chunked, per_worker = run_chunked(
-        _coverage_chunk,
-        (algebra, traces),
-        chunk_ranges(len(traces), workers),
-        workers,
-    )
-    # Replay the serial scan over the per-trace gap lists: the counter
-    # semantics (a trace counts as checked once its scan starts, the
-    # scan stops at the cap mid-trace) match the serial loop exactly.
-    uncovered = []
-    traces_checked = 0
-    report = None
-    for entries in itertools.chain.from_iterable(chunked):
-        traces_checked += 1
-        for entry in entries:
-            uncovered.append(entry)
-            if len(uncovered) >= _UNCOVERED_CAP:
-                report = CoverageReport(
-                    ok=False,
-                    missing_constructors=tuple(missing),
-                    uncovered=tuple(uncovered),
-                    traces_checked=traces_checked,
-                )
-                break
-        if report is not None:
-            break
-    if report is None:
-        report = CoverageReport(
-            ok=not missing and not uncovered,
-            missing_constructors=tuple(missing),
-            uncovered=tuple(uncovered),
-            traces_checked=traces_checked,
-        )
-    if stats is not None:
-        stats.add(
-            VerificationStats.merge(
-                "coverage",
-                workers,
-                per_worker,
-                time.perf_counter() - started,
-            )
-        )
-    return report
 
 
 def check_sufficient_completeness(
@@ -404,27 +379,20 @@ def check_sufficient_completeness(
     depth: int = 3,
     max_traces: int = 5_000,
     workers: int = 1,
-    stats: StatsSink | None = None,
 ) -> CompletenessReport:
     """Run both halves of the Section 4.4a check and combine them.
 
     Args:
         workers: parallelize the coverage scan (termination analysis
             is a cheap graph computation and stays serial).
-        stats: optional sink receiving the coverage record.
     """
     with _span("completeness", workers=workers) as obs_span:
         with _span("completeness.termination"):
             termination = check_termination(spec)
         try:
-            with _span("completeness.coverage", depth=depth):
-                coverage = check_coverage(
-                    spec,
-                    depth=depth,
-                    max_traces=max_traces,
-                    workers=workers,
-                    stats=stats,
-                )
+            coverage = check_coverage(
+                spec, depth=depth, max_traces=max_traces, workers=workers
+            )
         except ReproError as exc:  # pragma: no cover - defensive
             coverage = CoverageReport(
                 ok=False, uncovered=(str(exc),), traces_checked=0

@@ -326,6 +326,7 @@ def _run_verify(args: argparse.Namespace) -> int:
                         fail_fast=args.fail_fast,
                         backend=backend,
                         worker_addresses=worker_addresses,
+                        collect_stats=include_stats,
                     )
             except (SpecificationError, ExecutorBackendError) as exc:
                 print(f"error: {exc}", file=sys.stderr)

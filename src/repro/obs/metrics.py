@@ -3,9 +3,9 @@
 The verification engine accumulates ad-hoc counters in several places
 — :class:`~repro.algebraic.rewriting.RewriteEngine` attributes
 (``cache_hits``/``cache_misses``/``rewrite_steps``/``dispatch_hits``),
-the process-wide term-intern tables, per-worker
-:class:`~repro.parallel.stats.WorkerStats` records and their
-:class:`~repro.parallel.stats.VerificationStats` aggregates.  The
+the process-wide term-intern tables, and the
+:class:`~repro.parallel.stats.VerificationStats` parts folded from each
+check's spans.  The
 :class:`MetricsRegistry` subsumes them behind one namespace of *named*
 counters (monotone integers) and gauges (point-in-time floats), so
 exporters and the ``--metrics-json`` CLI flag have a single flat,

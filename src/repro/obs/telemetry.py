@@ -390,7 +390,20 @@ class Telemetry:
         """The full JSON-serializable state: uptime, every histogram
         (raw buckets plus the :meth:`LatencyHistogram.summary`
         percentiles), every rate counter (total, 10s and 60s rates),
-        and the newest ``events`` event records."""
+        and the newest ``events`` event records.
+
+        Raises:
+            ValueError: ``events`` is not a non-negative integer (both
+                telemetry ops pass the request's value straight in).
+        """
+        if (
+            isinstance(events, bool)
+            or not isinstance(events, int)
+            or events < 0
+        ):
+            raise ValueError(
+                f"'events' must be a non-negative integer, not {events!r}"
+            )
         now = self._clock()
         with self._lock:
             histograms = {

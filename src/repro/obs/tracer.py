@@ -19,7 +19,7 @@ Worker processes created by :mod:`repro.parallel.executor` inherit the
 enabled flag through ``fork``; each chunk runs under :func:`capture`,
 which gives the worker a fresh buffer rooted at one ``chunk`` span.
 The serialized buffers travel back through
-:class:`~repro.parallel.stats.WorkerStats` and are grafted under the
+:class:`~repro.parallel.executor.ChunkOutcome` and are grafted under the
 parent's active span **in chunk submission order** — the same
 deterministic merge order the verification mergers rely on — so the
 exported trace is identical for every worker count modulo timings.

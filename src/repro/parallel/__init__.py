@@ -24,8 +24,9 @@ This package provides the pieces the verification layers share:
 * :mod:`repro.parallel.worker` — the ``repro worker`` TCP server;
 * :mod:`repro.parallel.stats` — the :class:`VerificationStats` record
   (states checked, rewrite-cache hits/misses, rewrite steps, wall
-  time, per-worker breakdown) that the merger aggregates and
-  :meth:`repro.core.framework.DesignFramework.verify` surfaces.
+  time, per-worker breakdown), folded from each check's span tree by
+  :func:`~repro.parallel.stats.parts_of` and surfaced by
+  :meth:`repro.core.framework.DesignFramework.verify`.
 
 The contract every parallelized check honors: ``workers=1`` runs the
 original serial code path, and ``workers=N`` produces a report equal
@@ -44,18 +45,23 @@ from repro.parallel.backends import (
     resolve_backend,
     use_backend,
 )
-from repro.parallel.executor import ParallelExecutor, run_chunked
+from repro.parallel.executor import (
+    ChunkOutcome,
+    ParallelExecutor,
+    run_chunked,
+)
 from repro.parallel.partition import chunk_ranges, chunk_sizes
-from repro.parallel.stats import StatsSink, VerificationStats, WorkerStats
+from repro.parallel.stats import VerificationStats, parts_of, stats_scope
 
 __all__ = [
     "ParallelExecutor",
     "run_chunked",
     "chunk_ranges",
     "chunk_sizes",
-    "StatsSink",
+    "ChunkOutcome",
     "VerificationStats",
-    "WorkerStats",
+    "parts_of",
+    "stats_scope",
     "ExecutorBackend",
     "ExecutorBackendError",
     "InlineBackend",

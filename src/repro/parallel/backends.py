@@ -1,7 +1,7 @@
 """Pluggable executor backends behind one chunk-dispatch interface.
 
 The :class:`~repro.parallel.executor.ParallelExecutor` owns the merge
-discipline (results in submission order, stats/spans/coverage absorbed
+discipline (results in submission order, spans/coverage absorbed
 exactly once); *where* the chunks actually run is this module's
 business.  Three backends ship:
 
@@ -19,8 +19,8 @@ business.  Three backends ship:
     Remote ``repro worker`` processes reached over TCP with the
     length-prefixed JSON frames of :mod:`repro.parallel.wire`.  The
     context ships once per session as a fingerprint-addressed pickle
-    bundle; chunk calls and their stats/span/coverage payloads travel
-    per request.
+    bundle; chunk calls and their span/coverage payloads travel per
+    request.
 
 **The virtual-worker determinism model.**  A pool of ``W`` virtual
 workers assigns chunk ``i`` of a batch to worker ``i mod W`` —

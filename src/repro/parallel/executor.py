@@ -33,19 +33,21 @@ reference) and have the signature::
                         "cache_misses": m, "rewrite_steps": r}
 
 The counter dict may omit keys; missing counters default to zero.
+When tracing is on, the counters land on the chunk's ``chunk`` span,
+which :func:`repro.parallel.stats.parts_of` reads back as the chunk's
+per-worker stats entry.
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.obs.coverage import COV_STATE, capture_coverage
 from repro.obs.tracer import OBS_STATE, Span, capture
 from repro.parallel.backends import ExecutorBackend, resolve_backend
-from repro.parallel.stats import WorkerStats
 
-__all__ = ["ParallelExecutor", "run_chunked"]
+__all__ = ["ParallelExecutor", "ChunkOutcome", "run_chunked"]
 
 #: The shared context slot worker processes inherit through fork.
 _CONTEXT: Any = None
@@ -58,8 +60,31 @@ def _get_context() -> Any:
     return _CONTEXT
 
 
+@dataclass(frozen=True)
+class ChunkOutcome:
+    """What one chunk sends back besides its result.
+
+    Attributes:
+        worker: chunk index (0-based, in submission order).
+        spans: serialized :class:`repro.obs.tracer.Span` trees the
+            chunk recorded (empty unless tracing was enabled); the
+            executor grafts them back into the parent's trace in
+            chunk submission order.
+        coverage: the chunk's serialized
+            :class:`repro.obs.coverage.CoverageRecorder` payload
+            (``None`` unless coverage recording was enabled); the
+            executor folds it into the parent's recorder — coverage
+            merging is commutative, so any merge order yields the
+            same facts.
+    """
+
+    worker: int
+    spans: tuple = ()
+    coverage: dict | None = None
+
+
 def _run_chunk(payload, context: Any = _INHERITED):
-    """Worker-side trampoline: time the chunk and shape its stats.
+    """Worker-side trampoline: run the chunk under its capture scopes.
 
     ``context`` defaults to the module slot (inherited through fork or
     set by the executor's context manager); backends running several
@@ -70,16 +95,14 @@ def _run_chunk(payload, context: Any = _INHERITED):
     activated per request by the socket worker) the chunk runs under
     its own span buffer rooted at a ``chunk`` span carrying the chunk
     index as the ``worker`` attribute; the buffer travels back
-    serialized on :attr:`WorkerStats.spans` and the chunk's counters
-    are recorded on the chunk span, so per-worker rewrite activity is
-    visible in the exported trace.
+    serialized on :attr:`ChunkOutcome.spans` and the chunk's counters
+    are recorded on the chunk span — the only place they are kept.
     """
     fn, index, arg = payload
     chunk_context = _CONTEXT if context is _INHERITED else context
-    started = time.perf_counter()
     spans: tuple = ()
     coverage_payload: dict | None = None
-    # merge=False: the chunk's facts travel back on the stats record
+    # merge=False: the chunk's facts travel back on the outcome
     # and the parent merges them exactly once in _absorb — merging
     # here too would double-count under the in-process fallback,
     # where this trampoline runs in the parent process.
@@ -96,20 +119,7 @@ def _run_chunk(payload, context: Any = _INHERITED):
             result, counters = fn(chunk_context, arg)
     if COV_STATE.enabled:
         coverage_payload = chunk_cov.to_payload()
-    elapsed = time.perf_counter() - started
-    stats = WorkerStats(
-        worker=index,
-        items=counters.get("items", 0),
-        cache_hits=counters.get("cache_hits", 0),
-        cache_misses=counters.get("cache_misses", 0),
-        rewrite_steps=counters.get("rewrite_steps", 0),
-        dispatch_hits=counters.get("dispatch_hits", 0),
-        interned_terms=counters.get("interned_terms", 0),
-        wall_time=elapsed,
-        spans=spans,
-        coverage=coverage_payload,
-    )
-    return result, stats
+    return result, ChunkOutcome(index, spans, coverage_payload)
 
 
 class ParallelExecutor:
@@ -132,7 +142,7 @@ class ParallelExecutor:
 
         with ParallelExecutor(workers, context=algebra) as executor:
             results = executor.map(_snapshot_chunk, chunk_args)
-        stats = executor.worker_stats
+        outcomes = executor.outcomes
 
     :meth:`map` may be called repeatedly (e.g. once per BFS level);
     the pool and the workers' warm caches persist across calls.  On
@@ -150,9 +160,9 @@ class ParallelExecutor:
         self.workers = max(1, int(workers))
         self.context = context
         self.backend = backend
-        #: Per-chunk :class:`WorkerStats`, in submission order across
+        #: Per-chunk :class:`ChunkOutcome`, in submission order across
         #: all :meth:`map` calls.
-        self.worker_stats: list[WorkerStats] = []
+        self.outcomes: list[ChunkOutcome] = []
         self._pool = None
         self._saved_context: Any = None
         self._entered = False
@@ -179,7 +189,7 @@ class ParallelExecutor:
         _CONTEXT = self._saved_context
         self._saved_context = None
         # Drop the context reference: the executor object routinely
-        # outlives its with-block (callers read worker_stats off it),
+        # outlives its with-block (callers read outcomes off it),
         # and holding on would pin large specs/state graphs in parent
         # memory after the sweep.
         self.context = None
@@ -191,7 +201,7 @@ class ParallelExecutor:
 
         Returns the chunk results in ``args`` order (the property the
         deterministic mergers rely on) and appends one
-        :class:`WorkerStats` per chunk to :attr:`worker_stats`.
+        :class:`ChunkOutcome` per chunk to :attr:`outcomes`.
         """
         return self.map_async(fn, args).collect()
 
@@ -201,7 +211,7 @@ class ParallelExecutor:
         The pipeline scheduler uses this to overlap a batch of
         independent serial checks with work the parent keeps running
         inline; call :meth:`PendingMap.collect` to block, absorb the
-        per-chunk stats, and graft worker span buffers (still in
+        per-chunk outcomes, and graft worker span buffers (still in
         submission order) under the *then-active* span.  With no pool
         (``workers=1`` or no backend pool available) the chunks run
         in-process at collect time instead — identical results, no
@@ -218,7 +228,7 @@ class ParallelExecutor:
         return PendingMap(self, payloads, handle)
 
     def _absorb(self, outcomes: list[tuple]) -> list[Any]:
-        """Record chunk stats and graft span buffers, in chunk
+        """Record chunk outcomes and graft span buffers, in chunk
         submission order (the deterministic-merge invariant)."""
         results = []
         graft = (
@@ -229,16 +239,16 @@ class ParallelExecutor:
         recorder = (
             COV_STATE.recorder if COV_STATE.enabled else None
         )
-        for result, stats in outcomes:
-            self.worker_stats.append(stats)
+        for result, outcome in outcomes:
+            self.outcomes.append(outcome)
             results.append(result)
             if graft is not None:
                 # Outcomes arrive in submission (chunk) order, so the
                 # grafted trace is deterministic for any worker count.
-                for span_dict in stats.spans:
+                for span_dict in outcome.spans:
                     graft(Span.from_dict(span_dict))
-            if recorder is not None and stats.coverage is not None:
-                recorder.merge_payload(stats.coverage)
+            if recorder is not None and outcome.coverage is not None:
+                recorder.merge_payload(outcome.coverage)
         return results
 
 
@@ -257,7 +267,7 @@ class PendingMap:
 
     def collect(self) -> list[Any]:
         """Block until every chunk finished; return results in
-        submission order and absorb their stats/spans."""
+        submission order and absorb their outcomes."""
         if self._collected:
             raise RuntimeError("PendingMap.collect called twice")
         self._collected = True
@@ -276,10 +286,10 @@ def run_chunked(
     args: Sequence[Any],
     workers: int,
     backend: "ExecutorBackend | str | None" = None,
-) -> tuple[list[Any], list[WorkerStats]]:
+) -> tuple[list[Any], list[ChunkOutcome]]:
     """One-shot convenience: execute ``fn`` over ``args`` chunks.
 
-    Returns ``(results in args order, per-chunk WorkerStats)``.
+    Returns ``(results in args order, per-chunk ChunkOutcome)``.
     ``backend=None`` dispatches through the scope-active backend, so
     deep callers (the bounded sweeps) need no signature changes when
     the scheduler selects one.
@@ -288,4 +298,4 @@ def run_chunked(
         workers, context=context, backend=backend
     ) as executor:
         results = executor.map(fn, args)
-    return results, executor.worker_stats
+    return results, executor.outcomes

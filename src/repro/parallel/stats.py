@@ -1,33 +1,38 @@
-"""Verification statistics: per-worker counters and their merger.
+"""Verification statistics: a per-check view of the span tree.
 
-The parallel engine gives each worker its own
-:class:`~repro.algebraic.rewriting.RewriteEngine` (a forked copy of
-the parent's, so the memo cache starts warm), and every chunk reports
-the counters it accumulated: work items processed, rewrite-cache hits
-and misses, rewrite (equation-firing) steps, and wall time.  The
-merger folds them into one :class:`VerificationStats` record per
-check; :meth:`repro.core.framework.DesignFramework.verify` combines
-the per-check records into a single machine-readable bundle that the
-benchmarks emit as JSON — the observable perf trajectory of the
-verifier.
+Every check records its work on spans (:mod:`repro.obs.tracer`): a
+serial pass records its counters — work items processed, rewrite-cache
+hits and misses, rewrite (equation-firing) steps, compiled-dispatch
+reuses, intern-table growth — on its own span, and a parallel pass's
+chunks each record theirs on the ``chunk`` span the executor grafts
+under it.  :func:`parts_of` folds such a span tree into one
+:class:`VerificationStats` record per pass, :class:`stats_scope`
+collects the parts of whatever runs inside a block, and
+:meth:`repro.core.framework.DesignFramework.verify` combines the
+per-check parts into the machine-readable bundle ``--stats`` and
+``--stats-json`` print — the observable perf trajectory of the
+verifier.  The span tree is the only place the counts live.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.logic.terms import intern_table_size
+from repro.obs.tracer import OBS_STATE, Span, Tracer, activate
 
 __all__ = [
-    "WorkerStats",
     "VerificationStats",
-    "StatsSink",
+    "PART_SPANS",
+    "parts_of",
+    "stats_scope",
     "engine_counters",
     "counter_delta",
 ]
 
-#: The counter keys every chunk function reports.
+#: The counter keys every chunk function reports, in the order a
+#: per-worker entry lists them.
 COUNTER_KEYS = (
     "items",
     "cache_hits",
@@ -36,6 +41,31 @@ COUNTER_KEYS = (
     "dispatch_hits",
     "interned_terms",
 )
+
+_STANDARD = {key: key for key in COUNTER_KEYS}
+
+#: The spans that are stats parts: span name -> (part label, the span
+#: counter each of :data:`COUNTER_KEYS` is read from).  The grammar
+#: recognizer counts under its own names; every other pass records a
+#: :func:`counter_delta` on its span (serial) or on its chunks
+#: (parallel).
+PART_SPANS: dict[str, tuple[str, dict[str, str]]] = {
+    "explore": ("explore", _STANDARD),
+    "completeness.coverage": ("coverage", _STANDARD),
+    "static": ("static", _STANDARD),
+    "inclusion.reachable": ("reachable", _STANDARD),
+    "inclusion.valid-enumeration": ("valid-enumeration", _STANDARD),
+    "transitions": ("transitions", _STANDARD),
+    "wgrammar.recognize": (
+        "grammar",
+        {
+            "items": "wgrammar.steps",
+            "cache_hits": "wgrammar.memo_hits",
+            "cache_misses": "wgrammar.memo_entries",
+        },
+    ),
+    "second-third.pairs": ("second-third", _STANDARD),
+}
 
 
 def engine_counters(*engines) -> dict[str, int]:
@@ -82,77 +112,6 @@ def counter_delta(
 
 
 @dataclass(frozen=True)
-class WorkerStats:
-    """Counters one worker accumulated over one chunk.
-
-    Attributes:
-        worker: chunk/worker index (0-based, in partition order).
-        items: work items the chunk processed (states, traces,
-            structures, equation instances — whatever the check
-            partitions).
-        cache_hits: rewrite-engine memo hits inside the chunk.
-        cache_misses: rewrite-engine memo misses inside the chunk.
-        rewrite_steps: conditional-equation firings inside the chunk.
-        dispatch_hits: reuses of a compiled dispatch-table entry
-            (symbol classification or equation matcher) in the chunk.
-        interned_terms: growth of the worker's term intern table over
-            the chunk (new unique terms hash-consed).
-        wall_time: seconds the chunk took, measured in the worker.
-        spans: serialized :class:`repro.obs.tracer.Span` trees the
-            chunk recorded (empty unless tracing was enabled); the
-            executor grafts them back into the parent's trace in
-            chunk submission order.
-        coverage: the chunk's serialized
-            :class:`repro.obs.coverage.CoverageRecorder` payload
-            (``None`` unless coverage recording was enabled); the
-            executor folds it into the parent's recorder — coverage
-            merging is commutative, so any merge order yields the
-            same facts.
-    """
-
-    worker: int
-    items: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    rewrite_steps: int = 0
-    dispatch_hits: int = 0
-    interned_terms: int = 0
-    wall_time: float = 0.0
-    spans: tuple = ()
-    coverage: dict | None = None
-
-    def to_dict(self) -> dict:
-        """A JSON-serializable view of the chunk record (span buffers
-        and coverage payloads are part of the trace/coverage outputs,
-        not the stats, and are omitted)."""
-        return {
-            "worker": self.worker,
-            "items": self.items,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "rewrite_steps": self.rewrite_steps,
-            "dispatch_hits": self.dispatch_hits,
-            "interned_terms": self.interned_terms,
-            "wall_time": self.wall_time,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WorkerStats":
-        """Rebuild a chunk record serialized by :meth:`to_dict` (the
-        result-cache replay path)."""
-        return cls(
-            worker=payload.get("worker", 0),
-            items=payload.get("items", 0),
-            cache_hits=payload.get("cache_hits", 0),
-            cache_misses=payload.get("cache_misses", 0),
-            rewrite_steps=payload.get("rewrite_steps", 0),
-            dispatch_hits=payload.get("dispatch_hits", 0),
-            interned_terms=payload.get("interned_terms", 0),
-            wall_time=payload.get("wall_time", 0.0),
-        )
-
-
-@dataclass(frozen=True)
 class VerificationStats:
     """Aggregated statistics of one verification pass.
 
@@ -161,8 +120,8 @@ class VerificationStats:
             ``"coverage"``, ``"second-third"``, or the combined
             ``"verify"``).
         workers: worker count the pass was requested with.
-        states_checked: total work items examined (the merger's sum of
-            per-worker ``items``, or the serial loop's count).
+        states_checked: total work items examined (the sum of the
+            per-worker ``items``).
         cache_hits: total rewrite-cache hits.
         cache_misses: total rewrite-cache misses.
         rewrite_steps: total conditional-equation firings.
@@ -171,7 +130,10 @@ class VerificationStats:
             hash-consed during the pass, summed over workers).
         wall_time: elapsed seconds of the whole pass (not the sum of
             worker times — workers overlap).
-        per_worker: the unmerged per-worker records.
+        per_worker: one counter dict per worker chunk (``worker``,
+            the :data:`COUNTER_KEYS`, ``wall_time``), in chunk
+            submission order; a serial pass has the single entry
+            ``worker=0``.
         parts: sub-records when this record combines several passes
             (the framework-level bundle keeps one part per check).
     """
@@ -185,7 +147,7 @@ class VerificationStats:
     dispatch_hits: int = 0
     interned_terms: int = 0
     wall_time: float = 0.0
-    per_worker: tuple[WorkerStats, ...] = ()
+    per_worker: tuple[dict, ...] = ()
     parts: tuple["VerificationStats", ...] = ()
 
     @property
@@ -193,28 +155,6 @@ class VerificationStats:
         """Hits / (hits + misses), 0.0 when the cache was untouched."""
         touched = self.cache_hits + self.cache_misses
         return self.cache_hits / touched if touched else 0.0
-
-    @classmethod
-    def merge(
-        cls,
-        label: str,
-        workers: int,
-        per_worker: list[WorkerStats],
-        wall_time: float,
-    ) -> "VerificationStats":
-        """Fold per-worker chunk records into one pass record."""
-        return cls(
-            label=label,
-            workers=workers,
-            states_checked=sum(w.items for w in per_worker),
-            cache_hits=sum(w.cache_hits for w in per_worker),
-            cache_misses=sum(w.cache_misses for w in per_worker),
-            rewrite_steps=sum(w.rewrite_steps for w in per_worker),
-            dispatch_hits=sum(w.dispatch_hits for w in per_worker),
-            interned_terms=sum(w.interned_terms for w in per_worker),
-            wall_time=wall_time,
-            per_worker=tuple(per_worker),
-        )
 
     @classmethod
     def combine(
@@ -250,7 +190,7 @@ class VerificationStats:
             "wall_time": self.wall_time,
         }
         if self.per_worker:
-            out["per_worker"] = [w.to_dict() for w in self.per_worker]
+            out["per_worker"] = [dict(w) for w in self.per_worker]
         if self.parts:
             out["parts"] = [p.to_dict() for p in self.parts]
         return out
@@ -275,8 +215,7 @@ class VerificationStats:
             interned_terms=payload.get("interned_terms", 0),
             wall_time=payload.get("wall_time", 0.0),
             per_worker=tuple(
-                WorkerStats.from_dict(worker)
-                for worker in payload.get("per_worker", ())
+                dict(worker) for worker in payload.get("per_worker", ())
             ),
             parts=tuple(
                 cls.from_dict(part) for part in payload.get("parts", ())
@@ -300,20 +239,108 @@ class VerificationStats:
         )
 
 
-@dataclass
-class StatsSink:
-    """Mutable collector the verification layers append records to.
+# ---------------------------------------------------------------------
+# the span-tree view
+# ---------------------------------------------------------------------
+def _entry(worker: int, span: Span, keys: dict[str, str]) -> dict:
+    """One per-worker entry: ``span``'s counters under ``keys``."""
+    entry = {"worker": worker}
+    for key in COUNTER_KEYS:
+        entry[key] = span.counters.get(keys.get(key), 0)
+    entry["wall_time"] = span.duration
+    return entry
 
-    Passing a sink into a check is always optional and never changes
-    the check's report; the sink only observes.
+
+def _chunks(span: Span):
+    """The ``chunk`` spans of one parallel pass, in graft (= chunk
+    submission) order, not descending into nested passes."""
+    for child in span.children:
+        if child.name == "chunk":
+            yield child
+        elif child.name not in PART_SPANS:
+            yield from _chunks(child)
+
+
+def _part(span: Span, label: str, keys: dict[str, str]) -> VerificationStats:
+    workers = max(1, span.attrs.get("workers", 1))
+    if workers > 1:
+        per_worker = [
+            _entry(chunk.attrs.get("worker", 0), chunk, _STANDARD)
+            for chunk in _chunks(span)
+        ]
+    else:
+        per_worker = [_entry(0, span, keys)]
+    return VerificationStats(
+        label=label,
+        workers=workers,
+        states_checked=sum(w["items"] for w in per_worker),
+        cache_hits=sum(w["cache_hits"] for w in per_worker),
+        cache_misses=sum(w["cache_misses"] for w in per_worker),
+        rewrite_steps=sum(w["rewrite_steps"] for w in per_worker),
+        dispatch_hits=sum(w["dispatch_hits"] for w in per_worker),
+        interned_terms=sum(w["interned_terms"] for w in per_worker),
+        wall_time=span.duration,
+        per_worker=tuple(per_worker),
+    )
+
+
+def parts_of(spans) -> tuple[VerificationStats, ...]:
+    """Fold span trees into one :class:`VerificationStats` per pass.
+
+    Every span named in :data:`PART_SPANS` is one pass.  Its
+    ``workers`` attribute decides where its counters are: on the span
+    itself (serial, one ``worker=0`` entry) or on the grafted
+    ``chunk`` spans below it (one entry each).  Passes are listed in
+    completion order (post-order), so an exploration a check runs
+    before its own sweep comes first.
+    """
+    parts: list[VerificationStats] = []
+
+    def visit(span: Span) -> None:
+        for child in span.children:
+            visit(child)
+        known = PART_SPANS.get(span.name)
+        if known is not None:
+            parts.append(_part(span, *known))
+
+    for root in spans:
+        visit(root)
+    return tuple(parts)
+
+
+class stats_scope:
+    """Collect the stats parts of the work a block does::
+
+        with stats_scope() as scope:
+            graph = algebra.explore(workers=4)
+        scope.parts   # (VerificationStats("explore", ...),)
+
+    The block records into the active tracer when tracing is on, and
+    under a throwaway activated one otherwise (worker processes opened
+    inside the block then trace their chunks too).  On exit
+    :attr:`parts` holds :func:`parts_of` the spans the block opened;
+    :attr:`tracer` is the tracer they went to.
     """
 
-    records: list[VerificationStats] = field(default_factory=list)
+    __slots__ = ("tracer", "parts", "_activation", "_siblings", "_mark")
 
-    def add(self, record: VerificationStats) -> None:
-        """Append one per-check record to the sink."""
-        self.records.append(record)
+    def __enter__(self) -> "stats_scope":
+        self._activation = None
+        if OBS_STATE.enabled:
+            self.tracer = OBS_STATE.tracer
+        else:
+            self._activation = activate(Tracer())
+            self.tracer = self._activation.__enter__()
+        current = self.tracer.current
+        self._siblings = (
+            self.tracer.roots if current is None else current.children
+        )
+        self._mark = len(self._siblings)
+        self.parts: tuple[VerificationStats, ...] = ()
+        return self
 
-    def combined(self, label: str = "verify") -> VerificationStats:
-        """One bundle record over everything collected so far."""
-        return VerificationStats.combine(label, list(self.records))
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self._activation is not None:
+            self._activation.__exit__(exc_type, exc, tb)
+        self.parts = parts_of(self._siblings[self._mark:])
+        return False

@@ -21,7 +21,7 @@ listens on a TCP port, speaks the length-prefixed JSON frames of
     (``repro.`` by default), against the session's context.  The
     request carries the client's tracing/coverage flags; span buffers
     and coverage payloads travel back inside the pickled
-    :class:`~repro.parallel.stats.WorkerStats`.
+    :class:`~repro.parallel.executor.ChunkOutcome`.
 ``telemetry``
     The worker's live telemetry snapshot (per-op and bundle-load
     latency histograms, chunk rates, bundle cache hit/miss counters,
@@ -203,6 +203,10 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         self._reply({"ok": False, "error": message})
 
 
+#: The one chunk-execution slot of this process (see ``_Server``).
+_EXEC_LOCK = threading.Lock()
+
+
 class _Server(socketserver.ThreadingTCPServer):
     """The listening socket plus per-worker shared state."""
 
@@ -224,9 +228,12 @@ class _Server(socketserver.ThreadingTCPServer):
         # the process-wide TEL_STATE switch, so in-thread harness
         # workers cannot leak state across tests.
         self.telemetry = Telemetry()
-        # Chunk execution is serialized: one worker process is one
-        # compute slot, however many sessions it serves.
-        self.exec_lock = threading.Lock()
+        # Chunk execution is serialized per process: one worker process
+        # is one compute slot, however many sessions (or in-thread
+        # servers) it hosts — and the tracing/coverage switches a chunk
+        # request activates are process-wide, so two chunks must never
+        # interleave their activations.
+        self.exec_lock = _EXEC_LOCK
 
     def load_bundle(self, data: bytes):
         """Unpickle a fresh context from bundle bytes, timing the
@@ -280,7 +287,7 @@ class _Server(socketserver.ThreadingTCPServer):
         index = int(frame.get("index", 0))
         # The client's observability flags arrive per request; the
         # throwaway tracer/recorder only turn the capture machinery
-        # on — the chunk's own buffers travel back inside the stats.
+        # on — the chunk's own buffers travel back inside the outcome.
         tracing = (
             activate(Tracer()) if frame.get("trace") else nullcontext()
         )

@@ -28,7 +28,9 @@ class CheckRun:
             resource producer whose value lives in the context, or for
             a skipped optional check).
         stats_parts: the :class:`~repro.parallel.stats.VerificationStats`
-            records the check appended, in emission order.
+            parts folded from the check's spans, in completion order
+            (filled in by the scheduler when the check ran traced;
+            runners leave it empty).
         counters: span-counter totals recorded under the check's span
             subtree (``None`` when observability capture was off and
             caching did not request it).

@@ -10,19 +10,18 @@ exactly, so the deterministic schedule — and with it every report,
 stats record, and rewrite-cache trajectory — is unchanged.
 
 Runner functions are module-level so fan-out nodes survive ``fork``
-into :mod:`repro.parallel.executor` workers.
+into :mod:`repro.parallel.executor` workers.  They return only their
+report: the scheduler derives each check's stats parts from the spans
+it recorded (:func:`repro.parallel.stats.parts_of`).
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.algebraic.completeness import check_sufficient_completeness
 from repro.algebraic.exploration import edge_artifact_name
 from repro.algebraic.observation import check_congruence
 from repro.errors import SpecificationError, WGrammarError
 from repro.obs.coverage import COV_STATE, state_graph_census
-from repro.parallel.stats import StatsSink, VerificationStats, WorkerStats
 from repro.pipeline.check import Check, CheckRun
 from repro.pipeline.graph import CheckGraph
 from repro.refinement.first_second import (
@@ -53,7 +52,6 @@ def _run_explore(ctx, params) -> CheckRun:
     gets delta exploration for free); the refreshed artifact is stored
     back after the run.
     """
-    sink = StatsSink()
     cache = ctx.resources.get("result_cache")
     artifact_name = None
     edge_cache = None
@@ -63,7 +61,6 @@ def _run_explore(ctx, params) -> CheckRun:
     graph = ctx.algebra.explore(
         max_states=params["max_states"],
         workers=params["workers"],
-        stats=sink,
         edge_cache=edge_cache,
     )
     ctx.resources["graph"] = graph
@@ -73,24 +70,21 @@ def _run_explore(ctx, params) -> CheckRun:
         # The census reads the merged graph, which is identical at
         # every worker count, so the recorded curve is deterministic.
         COV_STATE.recorder.record_explore(state_graph_census(graph))
-    return CheckRun(result=graph, stats_parts=tuple(sink.records))
+    return CheckRun(result=graph)
 
 
 def _run_completeness(ctx, params) -> CheckRun:
     """Section 4.4a: sufficient completeness."""
-    sink = StatsSink()
     report = check_sufficient_completeness(
         ctx.framework.algebraic,
         depth=params["depth"],
         workers=params["workers"],
-        stats=sink,
     )
-    return CheckRun(result=report, stats_parts=tuple(sink.records))
+    return CheckRun(result=report)
 
 
 def _run_static(ctx, params) -> CheckRun:
     """Section 4.4b: every reachable state is valid."""
-    sink = StatsSink()
     framework = ctx.framework
     report = check_static_consistency(
         framework.information,
@@ -99,14 +93,12 @@ def _run_static(ctx, params) -> CheckRun:
         ctx.interpretation,
         ctx.resources["graph"],
         workers=params["workers"],
-        stats=sink,
     )
-    return CheckRun(result=report, stats_parts=tuple(sink.records))
+    return CheckRun(result=report)
 
 
 def _run_inclusion(ctx, params) -> CheckRun:
     """Sections 4.4b+c: the G = V comparison."""
-    sink = StatsSink()
     framework = ctx.framework
     report = compare_valid_reachable(
         framework.information,
@@ -115,14 +107,12 @@ def _run_inclusion(ctx, params) -> CheckRun:
         ctx.interpretation,
         ctx.resources["graph"],
         workers=params["workers"],
-        stats=sink,
     )
-    return CheckRun(result=report, stats_parts=tuple(sink.records))
+    return CheckRun(result=report)
 
 
 def _run_transitions(ctx, params) -> CheckRun:
     """Section 4.4d: transition consistency."""
-    sink = StatsSink()
     framework = ctx.framework
     report = check_transition_consistency(
         framework.information,
@@ -131,9 +121,8 @@ def _run_transitions(ctx, params) -> CheckRun:
         ctx.interpretation,
         ctx.resources["graph"],
         workers=params["workers"],
-        stats=sink,
     )
-    return CheckRun(result=report, stats_parts=tuple(sink.records))
+    return CheckRun(result=report)
 
 
 def _run_induction(ctx, params) -> CheckRun:
@@ -161,40 +150,21 @@ def _run_congruence(ctx, params) -> CheckRun:
 
 
 def _run_grammar(ctx, params) -> CheckRun:
-    """Level 3: the schema source is generated by the RPR W-grammar.
-
-    The recognizer's step/memo counters land in a ``grammar`` stats
-    record shaped like every other check's, so ``--stats`` and
-    ``--stats-json`` finally see this check too.
-    """
+    """Level 3: the schema source is generated by the RPR W-grammar."""
     source = ctx.framework.schema_source
     if source is None:
         return CheckRun(result=None, skipped=True)
-    counters: dict = {}
-    started = time.perf_counter()
     try:
-        accepted = check_schema_source(
-            source, max_steps=params["max_steps"], counters=counters
-        )
+        accepted = check_schema_source(source, max_steps=params["max_steps"])
     except WGrammarError:
         # Unsupported constructs or budget exhausted: skip, as the
         # monolithic verify() always did.
         return CheckRun(result=None, skipped=True)
-    wall = time.perf_counter() - started
-    record = WorkerStats(
-        worker=0,
-        items=counters.get("steps", 0),
-        cache_hits=counters.get("memo_hits", 0),
-        cache_misses=counters.get("memo_entries", 0),
-        wall_time=wall,
-    )
-    stats = VerificationStats.merge("grammar", 1, [record], wall)
-    return CheckRun(result=accepted, stats_parts=(stats,))
+    return CheckRun(result=accepted)
 
 
 def _run_second_third(ctx, params) -> CheckRun:
     """Section 5.4: every A2 equation valid in the induced structure."""
-    sink = StatsSink()
     framework = ctx.framework
     report = check_second_third(
         framework.algebraic,
@@ -202,9 +172,8 @@ def _run_second_third(ctx, params) -> CheckRun:
         framework.representation,
         max_states=params["max_states"],
         workers=params["workers"],
-        stats=sink,
     )
-    return CheckRun(result=report, stats_parts=tuple(sink.records))
+    return CheckRun(result=report)
 
 
 def _run_agreement(ctx, params) -> CheckRun:

@@ -16,10 +16,13 @@ misses:
 * **fail-fast** stops at the first failing check and marks the rest
   aborted (fan-out is disabled so the stop point is deterministic).
 
-Cache hits *replay*: the stored report is rebuilt, the stored
-:class:`~repro.parallel.stats.VerificationStats` parts re-enter the
-bundle, and the stored span-counter totals are recorded on a
-``cached=True`` span — so a warm run's ``--stats-json`` and
+A check that runs *traced* — whenever a cache is attached or stats
+are wanted — runs inside a :class:`~repro.parallel.stats.stats_scope`,
+and its :class:`~repro.parallel.stats.VerificationStats` parts are
+folded from the spans it recorded.  Cache hits *replay*: the stored
+report is rebuilt, the stored stats parts re-enter the bundle, and
+the stored span-counter totals are recorded on a ``cached=True``
+span — so a warm run's ``--stats-json`` and
 ``--metrics-json`` are byte-identical to the cold run that populated
 the cache.
 
@@ -38,16 +41,10 @@ from typing import Any, Iterable
 
 from repro.obs.coverage import COV_STATE, capture_coverage
 from repro.obs.telemetry import TEL_STATE as _TEL
-from repro.obs.tracer import (
-    OBS_STATE,
-    Tracer,
-    activate,
-    count as _count,
-    span as _span,
-)
+from repro.obs.tracer import OBS_STATE, count as _count, span as _span
 from repro.parallel.backends import use_backend
 from repro.parallel.executor import ParallelExecutor
-from repro.parallel.stats import VerificationStats
+from repro.parallel.stats import VerificationStats, stats_scope
 from repro.pipeline.cache import ResultCache, deserialize_result, serialize_result
 from repro.pipeline.check import Check, CheckRun
 from repro.pipeline.fingerprint import combine_fingerprint, framework_parts
@@ -202,50 +199,44 @@ class PipelineResult:
 # ---------------------------------------------------------------------
 # execution helpers (module-level: the fan-out path forks them)
 # ---------------------------------------------------------------------
-def _execute_check(check: Check, ctx: PipelineContext, want_counters: bool) -> CheckRun:
-    """Run one check, under its declared span, optionally collecting
-    the span-counter totals it recorded (for the cache replay path).
+def _execute_check(
+    check: Check, ctx: PipelineContext, traced: bool
+) -> CheckRun:
+    """Run one check, under its declared span.
 
-    When counters are wanted but tracing is off, the check runs under
-    a throwaway activated tracer so the counters exist to store.
+    ``traced`` runs it inside a :class:`~repro.parallel.stats.stats_scope`
+    (under a throwaway activated tracer when tracing is off), which
+    yields the check's stats parts and the span-counter totals the
+    result cache stores for replay.  A skipped check has no parts.
     """
     started = time.perf_counter()
-    own_tracer = Tracer() if (want_counters and not OBS_STATE.enabled) else None
-    activation = activate(own_tracer) if own_tracer is not None else nullcontext()
+    scope = stats_scope() if traced else nullcontext()
     # Each check records into its own fresh recorder (folded into the
     # enclosing one on exit), so the stored payload is a function of
     # the check alone — the property cache replay needs.
     coverage_scope = (
         capture_coverage() if COV_STATE.enabled else nullcontext()
     )
-    with activation, coverage_scope:
-        baseline = (
-            OBS_STATE.tracer.counter_totals()
-            if want_counters and own_tracer is None
-            else None
-        )
+    with scope, coverage_scope:
+        baseline = scope.tracer.counter_totals() if traced else None
         if check.span_name is not None:
             with _span(check.span_name, **check.span_attrs):
                 run = check.run(ctx, check.params)
         else:
             run = check.run(ctx, check.params)
         counters = None
-        if want_counters:
-            totals = OBS_STATE.tracer.counter_totals()
-            if baseline is not None:
-                # A key the check created at zero (e.g. a violations
-                # counter that stayed clean) must survive the delta:
-                # replaying it keeps warm metrics key-identical to cold.
-                counters = {
-                    name: value - baseline.get(name, 0)
-                    for name, value in totals.items()
-                    if name not in baseline or value - baseline[name]
-                }
-            else:
-                counters = dict(totals)
+        if traced:
+            # A key the check created at zero (e.g. a violations
+            # counter that stayed clean) must survive the delta:
+            # replaying it keeps warm metrics key-identical to cold.
+            counters = {
+                name: value - baseline.get(name, 0)
+                for name, value in scope.tracer.counter_totals().items()
+                if name not in baseline or value - baseline[name]
+            }
     return CheckRun(
         result=run.result,
-        stats_parts=run.stats_parts,
+        stats_parts=scope.parts if traced and not run.skipped else (),
         counters=counters,
         wall_time=time.perf_counter() - started,
         skipped=run.skipped,
@@ -261,12 +252,12 @@ def _fanout_chunk(context, name):
     """Worker-side trampoline for one fanned-out check.
 
     Returns empty executor counters so the chunk's bookkeeping span
-    stays counter-free: the check's own counters travel inside the
-    :class:`CheckRun` (and its spans inside the chunk buffer), keeping
-    cold and warm metrics totals identical.
+    stays counter-free: the check's own counters and stats parts
+    travel inside the :class:`CheckRun` (and its spans inside the
+    chunk buffer), keeping cold and warm metrics totals identical.
     """
-    ctx, checks, want_counters = context
-    return _execute_check(checks[name], ctx, want_counters), {}
+    ctx, checks, traced = context
+    return _execute_check(checks[name], ctx, traced), {}
 
 
 def _node_ok(run: CheckRun | None) -> bool:
@@ -291,6 +282,8 @@ class Scheduler:
             monolithic ``verify()``).
         cache: optional :class:`ResultCache`; when given, unchanged
             checks replay instead of running.
+        collect_stats: derive every executed check's stats parts
+            (always done when a cache is given, which stores them).
     """
 
     def __init__(
@@ -298,10 +291,12 @@ class Scheduler:
         graph: CheckGraph,
         fail_fast: bool = False,
         cache: ResultCache | None = None,
+        collect_stats: bool = False,
     ):
         self.graph = graph
         self.fail_fast = fail_fast
         self.cache = cache
+        self.collect_stats = collect_stats
 
     # ------------------------------------------------------------------
     def run(
@@ -421,7 +416,9 @@ class Scheduler:
         else:
             plan = {name: "run" for name in selection}
 
-        want_counters = cache is not None
+        # Checks run traced when their stats or span counters are
+        # wanted; a cache stores both for replay.
+        traced = cache is not None or self.collect_stats
         runs: dict[str, CheckRun] = {}
         statuses: dict[str, str] = {name: "aborted" for name in selection}
 
@@ -463,9 +460,7 @@ class Scheduler:
                     else:
                         if cache is not None and OBS_STATE.enabled:
                             _count("pipeline.cache.misses", 1)
-                        runs[name] = _execute_check(
-                            check, ctx, want_counters
-                        )
+                        runs[name] = _execute_check(check, ctx, traced)
                         statuses[name] = "ran"
                         if _TEL.enabled:
                             _TEL.telemetry.observe(
@@ -493,7 +488,7 @@ class Scheduler:
                 # replayed by the cache backend-independent.
                 executor = ParallelExecutor(
                     min(ctx.workers, len(fanout)),
-                    context=(ctx, checks, want_counters),
+                    context=(ctx, checks, traced),
                 )
                 executor.__enter__()
                 pending = executor.map_async(_fanout_chunk, fanout)

@@ -21,7 +21,6 @@ reachability predicate F.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.algebraic.algebra import StateGraph, TraceAlgebra, Transition
@@ -43,13 +42,7 @@ from repro.logic.terms import Term, Var
 from repro.obs.tracer import span as _span
 from repro.parallel.executor import run_chunked
 from repro.parallel.partition import chunk_ranges
-from repro.parallel.stats import (
-    StatsSink,
-    VerificationStats,
-    WorkerStats,
-    counter_delta,
-    engine_counters,
-)
+from repro.parallel.stats import counter_delta, engine_counters
 from repro.refinement.interpretation import Interpretation
 from repro.refinement.reachability import (
     InclusionReport,
@@ -132,7 +125,6 @@ def check_static_consistency(
     interpretation: Interpretation,
     graph: StateGraph | None = None,
     workers: int = 1,
-    stats: StatsSink | None = None,
 ) -> StaticConsistencyReport:
     """Check G ⊆ V: every reachable state satisfies every static
     constraint (Section 4.4b).
@@ -141,11 +133,9 @@ def check_static_consistency(
         workers: check states on this many processes; the merge
             replays the state order, so the report is identical for
             every worker count.
-        stats: optional sink receiving one ``"static"`` record.
     """
-    started = time.perf_counter()
     if graph is None:
-        graph = algebra.explore(workers=workers, stats=stats)
+        graph = algebra.explore(workers=workers)
     traces = list(graph.states.values())
     violations: list[tuple[Term, str]] = []
     with _span("static", workers=workers) as obs_span:
@@ -158,22 +148,16 @@ def check_static_consistency(
                 report = check_state(information, structure)
                 for axiom, _ in report.violations:
                     violations.append((trace, str(axiom)))
-            delta = counter_delta(
-                before, engine_counters(algebra.engine), len(traces)
-            )
-            obs_span.record(delta)
-            per_worker = [
-                WorkerStats(
-                    worker=0,
-                    wall_time=time.perf_counter() - started,
-                    **delta,
+            obs_span.record(
+                counter_delta(
+                    before, engine_counters(algebra.engine), len(traces)
                 )
-            ]
+            )
         else:
             context = (
                 information, carriers, algebra, interpretation, traces
             )
-            chunked, per_worker = run_chunked(
+            chunked, _ = run_chunked(
                 _static_chunk,
                 context,
                 chunk_ranges(len(traces), workers),
@@ -184,15 +168,6 @@ def check_static_consistency(
                 for axiom in axioms:
                     violations.append((trace, axiom))
         obs_span.count("static.violations", len(violations))
-    if stats is not None:
-        stats.add(
-            VerificationStats.merge(
-                "static",
-                max(1, workers),
-                per_worker,
-                time.perf_counter() - started,
-            )
-        )
     return StaticConsistencyReport(
         ok=not violations,
         states_checked=len(graph.states),
@@ -377,7 +352,6 @@ def check_transition_consistency(
     interpretation: Interpretation,
     graph: StateGraph | None = None,
     workers: int = 1,
-    stats: StatsSink | None = None,
 ) -> TransitionConsistencyReport:
     """Check (d): every update edge of the reachable state graph is an
     acceptable transition of the information-level theory.
@@ -386,11 +360,9 @@ def check_transition_consistency(
         workers: check edges on this many processes; the merge replays
             the edge order, so the report is identical for every
             worker count.
-        stats: optional sink receiving one ``"transitions"`` record.
     """
-    started = time.perf_counter()
     if graph is None:
-        graph = algebra.explore(workers=workers, stats=stats)
+        graph = algebra.explore(workers=workers)
     with _span("transitions", workers=workers) as obs_span:
         counters_before = engine_counters(algebra.engine)
         structures = {
@@ -417,19 +389,13 @@ def check_transition_consistency(
                         transition,
                     ):
                         violations.append((transition, axiom))
-            delta = counter_delta(
-                counters_before,
-                engine_counters(algebra.engine),
-                len(graph.transitions),
-            )
-            obs_span.record(delta)
-            per_worker = [
-                WorkerStats(
-                    worker=0,
-                    wall_time=time.perf_counter() - started,
-                    **delta,
+            obs_span.record(
+                counter_delta(
+                    counters_before,
+                    engine_counters(algebra.engine),
+                    len(graph.transitions),
                 )
-            ]
+            )
         else:
             context = (
                 information,
@@ -439,7 +405,7 @@ def check_transition_consistency(
                 graph,
                 structures,
             )
-            chunked, per_worker = run_chunked(
+            chunked, _ = run_chunked(
                 _transition_chunk,
                 context,
                 chunk_ranges(len(graph.transitions), workers),
@@ -451,15 +417,6 @@ def check_transition_consistency(
                     violations.append((transition, axiom))
         obs_span.count("transitions.edges", len(graph.transitions))
         obs_span.count("transitions.violations", len(violations))
-    if stats is not None:
-        stats.add(
-            VerificationStats.merge(
-                "transitions",
-                max(1, workers),
-                per_worker,
-                time.perf_counter() - started,
-            )
-        )
     return TransitionConsistencyReport(
         ok=not violations,
         transitions_checked=len(graph.transitions),
@@ -529,7 +486,6 @@ def check_refinement(
     completeness_depth: int = 2,
     max_states: int = 100_000,
     workers: int = 1,
-    stats: StatsSink | None = None,
 ) -> FirstToSecondReport:
     """Run the entire Section 4.4 proof plan mechanically.
 
@@ -547,17 +503,14 @@ def check_refinement(
             many processes.  The report is identical for every worker
             count; the sub-checks run in sequence, each using the full
             worker pool.
-        stats: optional sink receiving one record per sub-check.
     """
     if interpretation is None:
         interpretation = Interpretation.homonym(
             information, algebra.signature
         )
-    graph = algebra.explore(
-        max_states=max_states, workers=workers, stats=stats
-    )
+    graph = algebra.explore(max_states=max_states, workers=workers)
     completeness = check_sufficient_completeness(
-        algebra.spec, depth=completeness_depth, workers=workers, stats=stats
+        algebra.spec, depth=completeness_depth, workers=workers
     )
     static = check_static_consistency(
         information,
@@ -566,7 +519,6 @@ def check_refinement(
         interpretation,
         graph,
         workers=workers,
-        stats=stats,
     )
     inclusion = compare_valid_reachable(
         information,
@@ -575,7 +527,6 @@ def check_refinement(
         interpretation,
         graph,
         workers=workers,
-        stats=stats,
     )
     transitions = check_transition_consistency(
         information,
@@ -584,7 +535,6 @@ def check_refinement(
         interpretation,
         graph,
         workers=workers,
-        stats=stats,
     )
     return FirstToSecondReport(completeness, static, inclusion, transitions)
 

@@ -20,7 +20,6 @@ and reports witnesses for any failure.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -33,13 +32,7 @@ from repro.logic.terms import Term
 from repro.obs.tracer import span as _span
 from repro.parallel.executor import run_chunked
 from repro.parallel.partition import chunk_ranges
-from repro.parallel.stats import (
-    StatsSink,
-    VerificationStats,
-    WorkerStats,
-    counter_delta,
-    engine_counters,
-)
+from repro.parallel.stats import counter_delta, engine_counters
 from repro.refinement.interpretation import Interpretation
 
 __all__ = [
@@ -145,9 +138,11 @@ def reachable_structures(
     interpretation: Interpretation,
     graph: StateGraph | None = None,
     workers: int = 1,
-    stats: StatsSink | None = None,
 ) -> dict[Structure, Term]:
     """The set G as level-1 structures, each with a witness trace.
+
+    The realization runs under an ``inclusion.reachable`` span: the
+    ``"reachable"`` stats part.
 
     Args:
         graph: a previously computed state graph; explored fresh when
@@ -155,52 +150,36 @@ def reachable_structures(
         workers: realize witness traces on this many processes.  The
             graph's state order is replayed during the merge, so the
             result is identical for every worker count.
-        stats: optional sink receiving one ``"reachable"`` record.
     """
-    started = time.perf_counter()
     if graph is None:
-        graph = algebra.explore(workers=workers, stats=stats)
+        graph = algebra.explore(workers=workers)
     traces = list(graph.states.values())
-    if workers <= 1:
-        before = engine_counters(algebra.engine)
-        structures = [
-            interpretation.structure_of_trace(
-                information, carriers, algebra, trace
+    with _span("inclusion.reachable", workers=workers) as obs_span:
+        if workers <= 1:
+            before = engine_counters(algebra.engine)
+            structures = [
+                interpretation.structure_of_trace(
+                    information, carriers, algebra, trace
+                )
+                for trace in traces
+            ]
+            obs_span.record(
+                counter_delta(
+                    before, engine_counters(algebra.engine), len(structures)
+                )
             )
-            for trace in traces
-        ]
-        per_worker = [
-            WorkerStats(
-                worker=0,
-                wall_time=time.perf_counter() - started,
-                **counter_delta(
-                    before,
-                    engine_counters(algebra.engine),
-                    len(structures),
-                ),
+        else:
+            context = (information, carriers, algebra, interpretation, traces)
+            chunked, _ = run_chunked(
+                _reachable_chunk,
+                context,
+                chunk_ranges(len(traces), workers),
+                workers,
             )
-        ]
-    else:
-        context = (information, carriers, algebra, interpretation, traces)
-        chunked, per_worker = run_chunked(
-            _reachable_chunk,
-            context,
-            chunk_ranges(len(traces), workers),
-            workers,
-        )
-        structures = [s for chunk in chunked for s in chunk]
+            structures = [s for chunk in chunked for s in chunk]
     out: dict[Structure, Term] = {}
     for structure, trace in zip(structures, traces):
         out.setdefault(structure, trace)
-    if stats is not None:
-        stats.add(
-            VerificationStats.merge(
-                "reachable",
-                max(1, workers),
-                per_worker,
-                time.perf_counter() - started,
-            )
-        )
     return out
 
 
@@ -288,48 +267,31 @@ def _valid_structure_list(
     information: InformationSpec,
     carriers: dict[Sort, list[str]],
     workers: int,
-    stats: StatsSink | None,
 ) -> list[Structure]:
     """The set V in enumeration order, chunked across workers.
 
     Chunks partition the extension product by index; concatenating
     the per-chunk survivors in chunk order reproduces the serial
-    enumeration order exactly.
+    enumeration order exactly.  Runs under an
+    ``inclusion.valid-enumeration`` span (the ``"valid-enumeration"``
+    stats part), whose item count is the size of the product.
     """
-    started = time.perf_counter()
-    if workers <= 1:
-        structures = list(enumerate_valid_structures(information, carriers))
-        total = 1
-        for space in _subset_spaces(information, carriers):
-            total *= len(space)
-        per_worker = [
-            WorkerStats(
-                worker=0,
-                items=total,
-                wall_time=time.perf_counter() - started,
-            )
-        ]
-    else:
-        total = 1
-        for space in _subset_spaces(information, carriers):
-            total *= len(space)
-        chunked, per_worker = run_chunked(
+    total = 1
+    for space in _subset_spaces(information, carriers):
+        total *= len(space)
+    with _span(
+        "inclusion.valid-enumeration", workers=workers
+    ) as obs_span:
+        if workers <= 1:
+            obs_span.count("items", total)
+            return list(enumerate_valid_structures(information, carriers))
+        chunked, _ = run_chunked(
             _valid_chunk,
             (information, carriers),
             chunk_ranges(total, workers),
             workers,
         )
-        structures = [s for chunk in chunked for s in chunk]
-    if stats is not None:
-        stats.add(
-            VerificationStats.merge(
-                "valid-enumeration",
-                max(1, workers),
-                per_worker,
-                time.perf_counter() - started,
-            )
-        )
-    return structures
+    return [s for chunk in chunked for s in chunk]
 
 
 def compare_valid_reachable(
@@ -339,7 +301,6 @@ def compare_valid_reachable(
     interpretation: Interpretation,
     graph: StateGraph | None = None,
     workers: int = 1,
-    stats: StatsSink | None = None,
 ) -> InclusionReport:
     """Decide both inclusions of Sections 4.4b and 4.4c exhaustively.
 
@@ -347,27 +308,19 @@ def compare_valid_reachable(
         workers: fan the exploration, trace realization, and validity
             enumeration out over this many processes; the report is
             identical for every worker count.
-        stats: optional sink receiving one record per phase.
     """
     if graph is None:
-        graph = algebra.explore(workers=workers, stats=stats)
+        graph = algebra.explore(workers=workers)
     with _span("inclusion", workers=workers) as obs_span:
-        with _span("inclusion.reachable"):
-            reachable = reachable_structures(
-                information,
-                carriers,
-                algebra,
-                interpretation,
-                graph,
-                workers=workers,
-                stats=stats,
-            )
-        with _span("inclusion.valid-enumeration"):
-            valid = set(
-                _valid_structure_list(
-                    information, carriers, workers, stats
-                )
-            )
+        reachable = reachable_structures(
+            information,
+            carriers,
+            algebra,
+            interpretation,
+            graph,
+            workers=workers,
+        )
+        valid = set(_valid_structure_list(information, carriers, workers))
         obs_span.count("inclusion.reachable_states", len(reachable))
         obs_span.count("inclusion.valid_states", len(valid))
 

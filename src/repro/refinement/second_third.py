@@ -22,7 +22,6 @@ as the paper's induction, without enumerating syntactic traces.
 from __future__ import annotations
 
 import itertools
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping
@@ -38,11 +37,6 @@ from repro.logic.terms import App, Term, Var
 from repro.obs.tracer import span as _span
 from repro.parallel.executor import run_chunked
 from repro.parallel.partition import chunk_ranges
-from repro.parallel.stats import (
-    StatsSink,
-    VerificationStats,
-    WorkerStats,
-)
 from repro.rpr.ast import Schema, is_deterministic
 from repro.rpr.semantics import (
     DatabaseState,
@@ -909,7 +903,6 @@ def check_refinement(
     rep_map: RepresentationMap | None = None,
     max_states: int = 100_000,
     workers: int = 1,
-    stats: StatsSink | None = None,
 ) -> SecondToThirdReport:
     """Verify that T3 is a correct refinement of T2 under K.
 
@@ -927,9 +920,10 @@ def check_refinement(
             ``instances_checked`` count — so the report is identical
             for every worker count.  Workers receive the successor
             table :meth:`InducedStructure.reachable_states` filled.
-        stats: optional sink receiving one ``"second-third"`` record.
+
+    The pair sweep runs under a ``second-third.pairs`` span: the
+    ``"second-third"`` stats part.
     """
-    started = time.perf_counter()
     if rep_map is None:
         rep_map = RepresentationMap.homonym(spec.signature, schema)
     induced = InducedStructure(spec.signature, schema, rep_map)
@@ -939,21 +933,15 @@ def check_refinement(
 
     context = (spec, induced, states)
     total_pairs = len(spec.equations) * len(states)
-    if workers <= 1:
-        records, counters = _pairs_chunk(context, range(total_pairs))
-        chunked = [records]
-        per_worker = [
-            WorkerStats(
-                worker=0,
-                wall_time=time.perf_counter() - started,
-                **counters,
-            )
-        ]
-    else:
-        with _span(
-            "second-third.pairs", workers=workers, pairs=total_pairs
-        ):
-            chunked, per_worker = run_chunked(
+    with _span(
+        "second-third.pairs", workers=workers, pairs=total_pairs
+    ) as pairs_span:
+        if workers <= 1:
+            records, counters = _pairs_chunk(context, range(total_pairs))
+            pairs_span.record(counters)
+            chunked = [records]
+        else:
+            chunked, _ = run_chunked(
                 _pairs_chunk,
                 context,
                 chunk_ranges(total_pairs, workers),
@@ -982,15 +970,6 @@ def check_refinement(
     if report is None:
         report = SecondToThirdReport(
             not failures, len(states), instances, tuple(failures)
-        )
-    if stats is not None:
-        stats.add(
-            VerificationStats.merge(
-                "second-third",
-                max(1, workers),
-                per_worker,
-                time.perf_counter() - started,
-            )
         )
     return report
 

@@ -18,8 +18,8 @@ Responses carry ``"ok": true`` plus the operation's payload, or
 ``ok`` even when the guards reject it — the request was served; the
 admission verdict is the payload's ``"accepted"`` field, with the
 :class:`~repro.runtime.guards.GuardViolation` witness under
-``"violation"``.  ``params`` must be a JSON list of strings; a request
-line longer than the stream limit (64 KiB) gets an error reply and the
+``"violation"``.  The ``query``/``update`` name must be a string and
+``params`` a JSON list of strings; a request line longer than the stream limit (64 KiB) gets an error reply and the
 connection closes.
 
 Request handling is synchronous (:meth:`RuntimeServer.handle_request`)
@@ -91,18 +91,22 @@ class RuntimeServer:
             if op == "ping":
                 return {"ok": True, "pong": True}, False
             if op in ("query", "update"):
+                name = request.get(op)
                 params = request.get("params", [])
-                if not isinstance(params, list) or not all(
+                if not isinstance(name, str):
+                    error = f"{op!r} must be a string naming the {op}"
+                elif not isinstance(params, list) or not all(
                     isinstance(param, str) for param in params
                 ):
-                    return {
-                        "ok": False,
-                        "error": "'params' must be a list of strings",
-                    }, False
+                    error = "'params' must be a list of strings"
+                else:
+                    error = None
+                if error is not None:
+                    return {"ok": False, "error": error}, False
                 if op == "query":
-                    value = self.runtime.query(request["query"], params)
+                    value = self.runtime.query(name, params)
                     return {"ok": True, "value": value}, False
-                result = self.runtime.execute(request["update"], params)
+                result = self.runtime.execute(name, params)
                 return {"ok": True, **result.to_dict()}, False
             if op == "state":
                 cells = [
@@ -149,7 +153,7 @@ class RuntimeServer:
                     }, False
                 return {"ok": True, "bye": True}, True
             return {"ok": False, "error": f"unknown op {op!r}"}, False
-        except (ReproError, KeyError, TypeError) as exc:
+        except (ReproError, KeyError, TypeError, ValueError) as exc:
             return {"ok": False, "error": str(exc)}, False
 
     # ------------------------------------------------------------------

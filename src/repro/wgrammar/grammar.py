@@ -385,20 +385,19 @@ class WGrammar:
         self,
         tokens: list[str],
         max_steps: int = 2_000_000,
-        counters: dict | None = None,
     ) -> bool:
         """Decide whether the token (mark) sequence is derivable from
         the start notion.
+
+        With tracing on, the work counters (``wgrammar.steps``,
+        ``wgrammar.memo_entries``, ``wgrammar.memo_hits``) land on the
+        active span — the ``"grammar"`` stats part.
 
         Args:
             tokens: the input, one mark per token.
             max_steps: abort (raising :class:`WGrammarError`) after
                 this many rule expansions — W-grammar recognition is
                 undecidable in general, so a budget is mandatory.
-            counters: optional dict receiving the recognizer's work
-                counters (``steps``, ``memo_entries``, ``memo_hits``)
-                so callers can route them into a stats sink even when
-                tracing is disabled.
         """
         recognizer = _Recognizer(self, tuple(tokens), max_steps)
         accepted = len(tokens) in recognizer.parse(self.start, 0)
@@ -407,10 +406,7 @@ class WGrammar:
             _OBS.tracer.count(
                 "wgrammar.memo_entries", len(recognizer._memo)
             )
-        if counters is not None:
-            counters["steps"] = recognizer.steps_used
-            counters["memo_entries"] = len(recognizer._memo)
-            counters["memo_hits"] = recognizer.memo_hits
+            _OBS.tracer.count("wgrammar.memo_hits", recognizer.memo_hits)
         return accepted
 
     def derive_prefix(

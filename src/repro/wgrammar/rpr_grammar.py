@@ -674,15 +674,11 @@ def schema_marks(source: str) -> list[str]:
 def check_schema_source(
     source: str,
     max_steps: int = 2_000_000,
-    counters: dict | None = None,
 ) -> bool:
     """Decide whether RPR source is generated by the W-grammar
-    (Section 5.4's syntactic-correctness check).
-
-    Args:
-        counters: optional dict receiving the recognizer's work
-            counters (``steps``, ``memo_entries``, ``memo_hits``) for
-            the caller's stats sink.
+    (Section 5.4's syntactic-correctness check).  Recognition runs
+    under a ``wgrammar.recognize`` span that carries the recognizer's
+    counters: the ``"grammar"`` stats part.
 
     Raises:
         WGrammarError: if the source declares scalar/constant program
@@ -698,6 +694,4 @@ def check_schema_source(
     with _span(
         "wgrammar.recognize", tokens=len(marks), budget=max_steps
     ):
-        return rpr_wgrammar().recognize(
-            marks, max_steps=max_steps, counters=counters
-        )
+        return rpr_wgrammar().recognize(marks, max_steps=max_steps)

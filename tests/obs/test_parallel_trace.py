@@ -56,8 +56,8 @@ class TestForkSurvival:
         for record in stats:
             assert record.spans, "chunk should ship its span buffer"
             assert record.spans[0]["name"] == "chunk"
-            # spans are transport-only: not part of the JSON record
-            assert "spans" not in record.to_dict()
+            # the chunk's counters travel on its span, nowhere else
+            assert record.spans[0]["counters"]["items"] == 4
 
     def test_no_spans_shipped_when_tracing_is_off(self):
         values = list(range(12))

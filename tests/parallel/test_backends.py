@@ -17,6 +17,7 @@ import weakref
 
 import pytest
 
+from repro.obs.tracer import Tracer, activate
 from repro.parallel import (
     ParallelExecutor,
     run_chunked,
@@ -87,19 +88,27 @@ _MEMO_ARGS = [
 ]
 
 
-def _counters(stats):
+def _counters(outcomes):
     """The deterministic per-chunk counter records (ambient fields
-    excluded)."""
+    excluded), read off each chunk's ``chunk`` span — so the run must
+    have been traced."""
+    assert outcomes and all(outcome.spans for outcome in outcomes)
     return [
         {
-            "worker": w.worker,
-            "items": w.items,
-            "cache_hits": w.cache_hits,
-            "cache_misses": w.cache_misses,
-            "rewrite_steps": w.rewrite_steps,
-            "dispatch_hits": w.dispatch_hits,
+            "worker": outcome.worker,
+            **{
+                key: chunk["counters"].get(key, 0)
+                for key in (
+                    "items",
+                    "cache_hits",
+                    "cache_misses",
+                    "rewrite_steps",
+                    "dispatch_hits",
+                )
+            },
         }
-        for w in stats
+        for outcome in outcomes
+        for chunk in outcome.spans
     ]
 
 
@@ -174,13 +183,14 @@ class TestCrossBackendIdentity:
     """Same results and same canonicalized stats on every backend."""
 
     def _run(self, backend, workers):
-        return run_chunked(
-            _memo_chunk,
-            _MemoContext(),
-            _MEMO_ARGS,
-            workers=workers,
-            backend=backend,
-        )
+        with activate(Tracer()):
+            return run_chunked(
+                _memo_chunk,
+                _MemoContext(),
+                _MEMO_ARGS,
+                workers=workers,
+                backend=backend,
+            )
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_inline_fork_socket_agree(self, worker_servers, workers):
@@ -298,19 +308,20 @@ class TestForkDegradation:
 
         monkeypatch.setattr(backends, "_spawn_fork_worker", refuse)
         assert ForkBackend().open_pool(4, {"n": 1}) is None
-        results, stats = run_chunked(
-            _memo_chunk,
-            _MemoContext(),
-            _MEMO_ARGS,
-            workers=4,
-            backend="fork",
-        )
-        serial_results, serial_stats = run_chunked(
-            _memo_chunk,
-            _MemoContext(),
-            _MEMO_ARGS,
-            workers=1,
-        )
+        with activate(Tracer()):
+            results, stats = run_chunked(
+                _memo_chunk,
+                _MemoContext(),
+                _MEMO_ARGS,
+                workers=4,
+                backend="fork",
+            )
+            serial_results, serial_stats = run_chunked(
+                _memo_chunk,
+                _MemoContext(),
+                _MEMO_ARGS,
+                workers=1,
+            )
         # Same chunks, same order, same live context: results and
         # per-chunk counters match the serial run exactly.
         assert results == serial_results
@@ -354,12 +365,12 @@ class TestContextRelease:
             results = executor.map(_square_chunk, [1, 2, 3])
         assert results == [1, 4, 9]
         # The executor outlives its with-block (callers read
-        # worker_stats off it) but must not pin the context.
+        # outcomes off it) but must not pin the context.
         assert executor.context is None
         del context
         gc.collect()
         assert ref() is None
-        assert len(executor.worker_stats) == 3
+        assert len(executor.outcomes) == 3
 
     def test_exit_drops_context_when_no_pool_opened(self):
         class Blob:

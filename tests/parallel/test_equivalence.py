@@ -19,7 +19,7 @@ from repro.core.framework import DesignFramework
 from repro.logic import formulas as fm
 from repro.logic.sorts import STATE
 from repro.logic.terms import Var
-from repro.parallel import StatsSink
+from repro.parallel import stats_scope
 from repro.refinement.first_second import (
     check_refinement as check_first_second,
 )
@@ -75,8 +75,8 @@ def _uncovered_spec() -> AlgebraicSpec:
 class TestExploreEquivalence:
     def test_graph_identical_at_workers_4(self):
         serial = _algebra().explore()
-        sink = StatsSink()
-        parallel = _algebra().explore(workers=WORKERS, stats=sink)
+        with stats_scope() as scope:
+            parallel = _algebra().explore(workers=WORKERS)
         # Same snapshots in the same (BFS discovery) order, same
         # witness traces, same edges, same truncation verdict.
         assert list(parallel.states) == list(serial.states)
@@ -84,7 +84,7 @@ class TestExploreEquivalence:
         assert parallel.transitions == serial.transitions
         assert parallel.initial == serial.initial
         assert parallel.truncated is serial.truncated
-        [record] = sink.records
+        [record] = scope.parts
         assert record.label == "explore"
         assert record.workers == WORKERS
         assert record.states_checked > 0
@@ -130,13 +130,13 @@ class TestRefinementEquivalence:
         info = courses.courses_information()
         carriers = courses.courses_information_carriers()
         serial = check_first_second(info, carriers, _algebra())
-        sink = StatsSink()
-        parallel = check_first_second(
-            info, carriers, _algebra(), workers=WORKERS, stats=sink
-        )
+        with stats_scope() as scope:
+            parallel = check_first_second(
+                info, carriers, _algebra(), workers=WORKERS
+            )
         assert parallel == serial
         assert parallel.ok
-        labels = [record.label for record in sink.records]
+        labels = [record.label for record in scope.parts]
         assert "static" in labels
         assert "reachable" in labels
         assert "transitions" in labels

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from repro.obs.tracer import Tracer, activate
 from repro.parallel import ParallelExecutor, run_chunked
 
 
@@ -34,7 +35,7 @@ class TestInline:
         with ParallelExecutor(1, context=None) as executor:
             results = executor.map(_square_chunk, [3, 1, 2])
         assert results == [9, 1, 4]
-        assert [w.worker for w in executor.worker_stats] == [0, 1, 2]
+        assert [w.worker for w in executor.outcomes] == [0, 1, 2]
 
     def test_map_outside_context_manager_rejected(self):
         executor = ParallelExecutor(1)
@@ -61,15 +62,21 @@ class TestForked:
         assert values == [101, 102, 103]
 
     def test_worker_stats_carry_chunk_counters(self):
+        # The chunk counters travel on each chunk's span and are
+        # grafted, in chunk order, under the parent's trace.
         chunks = [range(0, 3), range(3, 5)]
-        results, stats = run_chunked(
-            _counting_chunk, None, chunks, workers=2
-        )
+        with activate(Tracer()) as tracer:
+            results, outcomes = run_chunked(
+                _counting_chunk, None, chunks, workers=2
+            )
         assert results == [3, 7]
-        assert [w.items for w in stats] == [3, 2]
-        assert [w.cache_hits for w in stats] == [3, 7]
-        assert [w.rewrite_steps for w in stats] == [6, 4]
-        assert all(w.wall_time >= 0 for w in stats)
+        assert [o.worker for o in outcomes] == [0, 1]
+        spans = [s for s in tracer.walk() if s.name == "chunk"]
+        assert [s.attrs["worker"] for s in spans] == [0, 1]
+        assert [s.counters["items"] for s in spans] == [3, 2]
+        assert [s.counters["cache_hits"] for s in spans] == [3, 7]
+        assert [s.counters["rewrite_steps"] for s in spans] == [6, 4]
+        assert all(s.duration >= 0 for s in spans)
 
     def test_map_reusable_across_calls(self):
         with ParallelExecutor(2, context=None) as executor:
@@ -77,4 +84,4 @@ class TestForked:
             second = executor.map(_square_chunk, [3])
         assert first == [1, 4]
         assert second == [9]
-        assert len(executor.worker_stats) == 3
+        assert len(executor.outcomes) == 3

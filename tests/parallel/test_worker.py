@@ -162,15 +162,18 @@ class TestChunks:
                 "fn": "tests.parallel.test_worker:_memo_probe_chunk",
                 "index": 0,
                 "arg": wire.encode_bytes(pickle.dumps(2)),
+                "trace": True,
             }
         )
         assert reply["ok"] is True
-        result, stats = pickle.loads(
+        result, outcome = pickle.loads(
             wire.decode_bytes(reply["outcome"])
         )
         assert result == 42
-        assert stats.worker == 0
-        assert stats.items == 1
+        assert outcome.worker == 0
+        # The chunk's counters travel on its traced chunk span.
+        (chunk,) = outcome.spans
+        assert chunk["counters"]["items"] == 1
 
     def test_module_gating_rejects_foreign_callables(self, client):
         _handshake(client)
@@ -287,6 +290,22 @@ class TestTelemetryOp:
         assert total(after, "worker.bundle.misses") == (
             total(before, "worker.bundle.misses") + 1
         )
+
+    def test_malformed_events_get_a_named_error(self, server):
+        c = _Client(server)
+        try:
+            _handshake(c)
+            replies = [
+                c.call({"op": "telemetry", "events": events})
+                for events in ("x", None, 2.5, True, -1)
+            ]
+            # The session survives the bad requests.
+            assert c.call({"op": "telemetry", "events": 0})["ok"]
+        finally:
+            c.close()
+        for reply in replies:
+            assert reply["ok"] is False
+            assert "'events'" in reply["error"], reply
 
     def test_worker_telemetry_is_server_local(self, server):
         from repro.obs.telemetry import TEL_STATE

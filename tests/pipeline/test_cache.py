@@ -15,7 +15,7 @@ from repro.algebraic.completeness import (
     TerminationReport,
 )
 from repro.algebraic.observation import ObservabilityReport
-from repro.parallel.stats import VerificationStats, WorkerStats
+from repro.parallel.stats import VerificationStats
 from repro.pipeline.cache import (
     CACHE_FORMAT,
     ResultCache,
@@ -85,11 +85,11 @@ class TestSerializers:
 
 class TestResultCache:
     def _store(self, cache, node="static", fingerprint=FP):
-        stats = VerificationStats.merge(
+        stats = VerificationStats(
             node,
-            1,
-            [WorkerStats(worker=0, items=3, wall_time=0.1)],
-            0.1,
+            states_checked=3,
+            wall_time=0.1,
+            per_worker=({"worker": 0, "items": 3, "wall_time": 0.1},),
         )
         cache.store(
             node,

@@ -68,6 +68,20 @@ def test_errors_are_reported_not_raised(server):
         response, stop = server.handle_request(request)
         assert response["ok"] is False and response["error"]
         assert not stop
+    # A malformed request field gets an error that names the field.
+    for request, field in (
+        ({"op": "query", "params": []}, "'query'"),
+        ({"op": "update", "params": ["a1"]}, "'update'"),
+        ({"op": "query", "query": ["x"], "params": []}, "'query'"),
+        ({"op": "update", "update": 7, "params": []}, "'update'"),
+        ({"op": "query", "query": "open", "params": "a1"}, "'params'"),
+        ({"op": "update", "update": "deposit", "params": [1]},
+         "'params'"),
+    ):
+        response, stop = server.handle_request(request)
+        assert response["ok"] is False, request
+        assert field in response["error"], (request, response)
+        assert not stop
 
 
 def test_shutdown_honored_only_when_allowed(bank_runtime):
@@ -224,6 +238,17 @@ class TestTelemetryOp:
             "op3",
             "op4",
         ]
+
+
+    def test_malformed_events_get_a_named_error(self, server):
+        with activate_telemetry():
+            for events in ("x", None, 2.5, True, -1):
+                response, stop = server.handle_request(
+                    {"op": "telemetry", "events": events}
+                )
+                assert response["ok"] is False, events
+                assert "'events'" in response["error"], response
+                assert not stop
 
 
 class TestStatsMetrics:
